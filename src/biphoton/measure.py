@@ -2,8 +2,15 @@
 
 Single photons: coherent ( |integral phi h|^2 ) and partially coherent
 (double sum over the coherence matrix). Photon pairs: the joint coincidence
-density, per-arm singles via the traced-out coherence, and the bucket-gated
-marginal (one detector scanned, the other photon accepted anywhere).
+density, per-arm singles with the other photon traced out, and the
+bucket-gated marginal (one detector scanned, the other photon accepted
+anywhere).
+
+Pure-pair singles are row sums of |H A|^2, one matrix product: the same
+double sum as partially coherent imaging of the reduced coherence matrix,
+with the trace over the other photon taken last, so that matrix is never
+formed. ``sources.reduced_coherence`` stays the reference the tests compare
+against.
 
 Closed forms for the ideal entangled source and the classically correlated
 source are provided next to the generic routes so each can be checked
@@ -27,7 +34,6 @@ from .sources import (
     CorrelatedPairSource,
     SinglePhotonMixed,
     SinglePhotonPure,
-    reduced_coherence,
 )
 
 NORM_TOL = 1e-10
@@ -46,10 +52,10 @@ class Density1D:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.n,):
             raise ValidationError(f"density shape {v.shape} does not match grid ({self.grid.n},)")
-        if v.min() < 0:
-            raise ValidationError("density values must be non-negative")
+        if not v.min() >= 0:
+            raise ValidationError("density values must be non-negative and finite")
         total = v.sum() * self.grid.dx
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise ValidationError(f"density must integrate to 1, got {total!r}")
         object.__setattr__(self, "values", v)
 
@@ -71,10 +77,10 @@ class Density2D:
             raise ValidationError(
                 f"density shape {v.shape} does not match grids ({self.grid1.n}, {self.grid2.n})"
             )
-        if v.min() < 0:
-            raise ValidationError("density values must be non-negative")
+        if not v.min() >= 0:
+            raise ValidationError("density values must be non-negative and finite")
         total = v.sum() * self.grid1.dx * self.grid2.dx
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise ValidationError(f"density must integrate to 1, got {total!r}")
         object.__setattr__(self, "values", v)
 
@@ -151,10 +157,29 @@ def biphoton_joint(s: BiphotonPure, k1: Kernel, k2: Kernel) -> Density2D:
     return _norm_2d(_joint_raw(s, k1, k2), k1.grid_out, k2.grid_out, "joint density")
 
 
+def _singles_raw(s: BiphotonPure, k: Kernel, arm: int) -> np.ndarray:
+    """Unnormalized singles of one arm of a pure pair, the other photon
+    traced out (arm 1 shown; arm 2 uses amp transposed):
+
+        p(x1) = sum_x'' |sum_x h(x1, x) amp(x, x'') dx_in|^2 dx_other
+    """
+    if arm == 1:
+        grid_in, a, dx_other = s.grid1, s.amp, s.grid2.dx
+    elif arm == 2:
+        grid_in, a, dx_other = s.grid2, s.amp.T, s.grid1.dx
+    else:
+        raise ValidationError(f"arm must be 1 or 2, got {arm!r}")
+    if grid_in != k.grid_in:
+        raise ValidationError("biphoton singles: source grid must match kernel input grid")
+    t = k.matrix @ a
+    vals = (t.real**2 + t.imag**2).sum(axis=1) * (dx_other * grid_in.dx**2)
+    return _clip_nonnegative(vals, "singles density")
+
+
 def biphoton_singles(s: BiphotonPure, k: Kernel, arm: int) -> Density1D:
     """Singles rate of one arm: partially coherent imaging of the traced-out
     (reduced) coherence of that photon."""
-    return single_partially_coherent(reduced_coherence(s, arm), k)
+    return _norm_1d(_singles_raw(s, k, arm), k.grid_out, "output density")
 
 
 def marginal_from_joint(p: Density2D, arm: int) -> Density1D:
@@ -242,10 +267,6 @@ def correlated_marginal(
 # Each component's |A|^2 carries its exact quadrature factors so that all
 # components share one proportionality convention; a single normalization
 # is applied at the end.
-
-
-def _singles_raw(s: BiphotonPure, k: Kernel, arm: int) -> np.ndarray:
-    return _coherence_density_raw(reduced_coherence(s, arm).coherence, k)
 
 
 def mixture_joint(m: BiphotonMixture, k1: Kernel, k2: Kernel) -> Density2D:

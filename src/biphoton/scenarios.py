@@ -724,11 +724,7 @@ def _build_element(e: ElementCfg, grid: Grid, wavelength: float):
     if e.kind == "fourier":
         return FourierSystem(e.focal_length, wavelength)
     if e.kind == "mask":
-        t = _resolve_profile(e.transmittance, grid)
-        peak = np.max(np.abs(t))
-        if peak > 1 + 1e-9:
-            raise ValidationError(f"mask transmittance exceeds 1 (max |t| = {peak})")
-        return Mask(t)
+        return Mask(_resolve_profile(e.transmittance, grid))
     if e.kind == "custom":
         m = np.array(e.matrix, dtype=complex)
         if m.shape != (grid.n, grid.n):

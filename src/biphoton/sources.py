@@ -36,7 +36,7 @@ class SinglePhotonPure:
     def __post_init__(self):
         a = _as_complex_vector(self.amp, self.grid.n, "amplitude")
         norm = np.sum(np.abs(a) ** 2) * self.grid.dx
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValidationError(f"amplitude not normalized: integral |phi|^2 dx = {norm!r}")
         object.__setattr__(self, "amp", a)
 
@@ -62,11 +62,13 @@ class SinglePhotonMixed:
         n = self.grid.n
         if g.shape != (n, n):
             raise ValidationError(f"coherence shape {g.shape} does not match grid ({n}, {n})")
+        if not np.all(np.isfinite(g)):
+            raise ValidationError("coherence matrix contains non-finite entries")
         scale = max(np.max(np.abs(g)), 1e-300)
         if np.max(np.abs(g - g.conj().T)) > 1e-9 * scale:
             raise ValidationError("coherence matrix is not Hermitian")
         trace = np.real(np.trace(g)) * self.grid.dx
-        if abs(trace - 1.0) > NORM_TOL:
+        if not abs(trace - 1.0) <= NORM_TOL:
             raise ValidationError(f"coherence trace integral must be 1, got {trace!r}")
         # Spectrum of gamma*dx is the dimensionless mode-weight distribution.
         w = np.linalg.eigvalsh((g + g.conj().T) / 2) * self.grid.dx
@@ -95,7 +97,7 @@ class BiphotonPure:
                 f"({self.grid1.n}, {self.grid2.n})"
             )
         norm = np.sum(np.abs(a) ** 2) * self.grid1.dx * self.grid2.dx
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValidationError(f"joint amplitude not normalized: integral = {norm!r}")
         object.__setattr__(self, "amp", a)
 
@@ -118,10 +120,10 @@ class BiphotonMixture:
         comps = tuple((float(w), s) for w, s in self.components)
         if not comps:
             raise ValidationError("mixture needs at least one component")
-        if any(w < 0 for w, _ in comps):
-            raise ValidationError("mixture weights must be non-negative")
+        if not all(w >= 0 for w, _ in comps):
+            raise ValidationError("mixture weights must be non-negative and finite")
         total = sum(w for w, _ in comps)
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise ValidationError(f"mixture weights must sum to 1, got {total!r}")
         g1, g2 = comps[0][1].grid1, comps[0][1].grid2
         for _, s in comps[1:]:
@@ -151,10 +153,10 @@ class CorrelatedPairSource:
         g = np.asarray(self.gamma, dtype=float)
         if g.shape != (self.grid.n,):
             raise ValidationError(f"gamma shape {g.shape} does not match grid ({self.grid.n},)")
-        if g.min() < 0:
-            raise ValidationError("gamma must be non-negative")
+        if not g.min() >= 0:
+            raise ValidationError("gamma must be non-negative and finite")
         total = g.sum() * self.grid.dx
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise ValidationError(f"gamma must integrate to 1, got {total!r}")
         object.__setattr__(self, "gamma", g)
 

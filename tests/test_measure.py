@@ -35,7 +35,7 @@ from biphoton import (
     single_coherent,
     single_partially_coherent,
 )
-from biphoton.sources import BiphotonMixture
+from biphoton.sources import BiphotonMixture, BiphotonPure, reduced_coherence
 
 SEED = 20260404
 
@@ -168,6 +168,43 @@ def test_biphoton_singles_identity_on_entangled():
     phi = random_pure(rng, g)
     p = biphoton_singles(entangled_delta(phi), kernel_of(Identity(), g), 2)
     assert rel_linf(p.values, np.abs(phi.amp) ** 2) < 1e-12
+
+
+def _two_grid_pair(rng):
+    """Random pure pair on arms of different n and dx, and a kernel per arm
+    onto a third grid, so a transposed amplitude or swapped dx fails."""
+    g1, g2 = make_grid(12, 0.3, 0.0), make_grid(9, 0.7, 0.4)
+    out1, out2 = make_grid(7, 0.5, 0.1), make_grid(11, 0.2, -0.3)
+    amp = rng.normal(size=(12, 9)) + 1j * rng.normal(size=(12, 9))
+    s = BiphotonPure.normalized(g1, g2, amp)
+    k1 = Kernel(g1, out1, rng.normal(size=(7, 12)) + 1j * rng.normal(size=(7, 12)))
+    k2 = Kernel(g2, out2, rng.normal(size=(11, 9)) + 1j * rng.normal(size=(11, 9)))
+    return s, {1: k1, 2: k2}
+
+
+@pytest.mark.parametrize("arm", [1, 2])
+def test_biphoton_singles_matches_reduced_coherence(arm):
+    rng = np.random.default_rng(SEED)
+    s, kernels = _two_grid_pair(rng)
+    k = kernels[arm]
+    expected = single_partially_coherent(reduced_coherence(s, arm), k)
+    assert rel_linf(biphoton_singles(s, k, arm).values, expected.values) <= 1e-10
+    with pytest.raises(ValidationError):
+        biphoton_singles(s, kernels[3 - arm], arm)
+
+
+@pytest.mark.parametrize("arm", [1, 2])
+def test_mixture_singles_matches_reduced_coherence(arm):
+    # partially coherent imaging is linear in the coherence matrix, so the
+    # mixture's singles are those of its weighted reduced coherence
+    rng = np.random.default_rng(SEED)
+    s, kernels = _two_grid_pair(rng)
+    others = [_two_grid_pair(rng)[0] for _ in range(2)]
+    mix = BiphotonMixture(((0.5, s), (0.3, others[0]), (0.2, others[1])))
+    gamma = sum(w * reduced_coherence(c, arm).coherence for w, c in mix.components)
+    k = kernels[arm]
+    expected = single_partially_coherent(SinglePhotonMixed(k.grid_in, gamma), k)
+    assert rel_linf(mixture_singles(mix, k, arm).values, expected.values) <= 1e-10
 
 
 def test_marginal_from_joint_trivial():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import random_kernel, random_unitary_kernel
+from helpers import random_kernel, random_unitary_kernel, rel_linf
 
 from biphoton import (
     Custom,
@@ -13,6 +13,7 @@ from biphoton import (
     SinglePhotonPure,
     ThinLens,
     ValidationError,
+    chain,
     circulant_matrix,
     compose,
     g_kernel,
@@ -114,6 +115,50 @@ def test_compose_associative():
     a = compose(compose(k3, k2), k1).matrix
     b = compose(k3, compose(k2, k1)).matrix
     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+
+
+def _chain_reference(elements, grid):
+    """Identity-seeded fold of ``compose`` over every element's full kernel."""
+    k = kernel_of(Identity(), grid)
+    for e in elements:
+        k = compose(kernel_of(e, grid), k)
+    return k
+
+
+def _chain_cases(grid):
+    rng = np.random.default_rng(SEED)
+    lam = 5e-7
+    n = grid.n
+
+    def mask():
+        return Mask(rng.random(n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
+
+    def custom():
+        return Custom(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+
+    return {
+        "empty": [],
+        "diagonal-only": [Identity(), mask(), ThinLens(0.05, lam), mask()],
+        "leading-diagonal": [mask(), ThinLens(0.05, lam), FreeSpace(0.02, lam)],
+        "trailing-diagonal": [FreeSpace(0.02, lam), mask(), Identity()],
+        "diagonal-dense-diagonal": [mask(), FourierSystem(0.1, lam), ThinLens(-0.05, lam),
+                                    FreeSpace(0.03, lam), mask()],
+        "custom": [custom(), mask(), custom(), Identity()],
+    }
+
+
+@pytest.mark.parametrize("case", ["empty", "diagonal-only", "leading-diagonal",
+                                  "trailing-diagonal", "diagonal-dense-diagonal", "custom"])
+def test_chain_matches_compose_reference(case):
+    g = make_grid(24, 1e-5, 2e-6)
+    elements = _chain_cases(g)[case]
+    arrays = [a for e in elements for a in vars(e).values() if isinstance(a, np.ndarray)]
+    before = [a.copy() for a in arrays]
+    k = chain(elements, g)
+    assert (k.grid_in, k.grid_out) == (g, g)
+    assert rel_linf(k.matrix, _chain_reference(elements, g).matrix) <= 1e-10
+    # the elements' own arrays are left untouched
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
 
 
 def test_compose_grid_mismatch():

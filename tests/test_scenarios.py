@@ -218,6 +218,17 @@ def test_cli_physics_error_exit_code(tmp_path, capsys):
     assert cli_main(["run", str(path)]) == 3
 
 
+def test_cli_mask_gain_exit_code(tmp_path, capsys):
+    doc = minimal_document()
+    doc["arm1"] = [{"element": "mask",
+                    "transmittance": {"profile": "array",
+                                      "values": [1, 1, 1, 1.5, 1, 1, 1, 1]}}]
+    path = tmp_path / "gain.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["run", str(path)]) == 2
+    assert "|t| <= 1" in capsys.readouterr().err
+
+
 def test_cli_rejects_unknown_format(tmp_path):
     assert cli_main(["run", "ghost-imaging", "--out", str(tmp_path), "--format", "bmp"]) == 2
 

@@ -3,7 +3,12 @@ import pytest
 from helpers import random_kernel, random_pure, rel_linf
 
 from biphoton import (
+    BiphotonMixture,
     BiphotonPure,
+    CorrelatedPairSource,
+    Density1D,
+    Density2D,
+    Mask,
     SinglePhotonMixed,
     SinglePhotonPure,
     SpdcParams,
@@ -232,3 +237,35 @@ def test_validation_rejects_unnormalized_and_non_hermitian():
     bad = np.diag([0.6, 0.6, -0.2]).astype(complex)
     with pytest.raises(ValidationError):
         SinglePhotonMixed(g, bad)
+
+
+def _with_nan(values, fill):
+    v = np.array(values)
+    if fill == "all":
+        v[...] = np.nan
+    elif fill == "one":
+        v.flat[1] = np.nan
+    return v
+
+
+_NAN_CONSTRUCTORS = {
+    "SinglePhotonPure": lambda g, f: SinglePhotonPure(g, _with_nan(np.full(4, 0.5**0.5 + 0j), f)),
+    "SinglePhotonMixed": lambda g, f: SinglePhotonMixed(g, _with_nan(np.eye(4) / 2 + 0j, f)),
+    "BiphotonPure": lambda g, f: BiphotonPure(g, g, _with_nan(np.eye(4) + 0j, f)),
+    "BiphotonMixture": lambda g, f: BiphotonMixture(tuple(
+        zip(_with_nan([1.0, 0.0], f), [BiphotonPure(g, g, np.eye(4) + 0j)] * 2))),
+    "CorrelatedPairSource": lambda g, f: CorrelatedPairSource(g, _with_nan(np.ones(4) / 2, f)),
+    "Mask": lambda g, f: Mask(_with_nan(np.ones(4), f)),
+    "Density1D": lambda g, f: Density1D(g, _with_nan(np.ones(4) / 2, f)),
+    "Density2D": lambda g, f: Density2D(g, g, _with_nan(np.ones((4, 4)) / 4, f)),
+}
+
+
+@pytest.mark.parametrize("fill", ["all", "one"])
+@pytest.mark.parametrize("constructor", sorted(_NAN_CONSTRUCTORS))
+def test_invariant_checks_reject_nan(constructor, fill):
+    g = make_grid(4, 0.5, 0.0)
+    # the same construction without NaN is valid
+    _NAN_CONSTRUCTORS[constructor](g, "none")
+    with pytest.raises(ValidationError):
+        _NAN_CONSTRUCTORS[constructor](g, fill)
