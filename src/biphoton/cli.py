@@ -41,6 +41,7 @@ def _cmd_run(args) -> int:
                            seed=args.seed, jobs=args.jobs)
     doc = summary.document()
     doc["duration_s"] = summary.duration_s
+    doc["timings"] = summary.timings
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 

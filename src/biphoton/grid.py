@@ -26,8 +26,10 @@ class Grid:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 2:
             raise ValidationError(f"n must be an integer >= 2, got {self.n!r}")
-        if not self.dx > 0:
-            raise ValidationError(f"dx must be positive, got {self.dx!r}")
+        if not (self.dx > 0 and math.isfinite(self.dx)):
+            raise ValidationError(f"must be positive and finite, got {self.dx!r}", field="dx")
+        if not math.isfinite(self.center):
+            raise ValidationError(f"must be finite, got {self.center!r}", field="center")
 
     @property
     def points(self) -> np.ndarray:

@@ -5,6 +5,13 @@ coincidence measurement with point detectors. Sampling is inverse-CDF over
 the flattened cell array, driven by numpy's PCG64 generator seeded with a
 64-bit integer; results are deterministic for a fixed (density, n, seed)
 within this implementation.
+
+A uniform draw u lands in cell k exactly when cdf[k-1] <= u < cdf[k].
+Rather than search the CDF once per draw, ``sample_joint`` sorts the draws
+in chunks of ``_CHUNK`` and searches them once per cell, accumulating
+below[k] = #(u < cdf[k]); the counts are below[k] - below[k-1]. They equal
+per-draw inverse-CDF counts exactly (chunked PCG64 draws are the unchunked
+stream), and memory is bounded by the chunk and the cell count for any n.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ import numpy as np
 from .errors import PhysicsError, ValidationError
 from .grid import Grid
 from .measure import Density1D, Density2D
+
+_CHUNK = 1 << 20  # uniform draws sorted at a time
 
 
 @dataclass(frozen=True)
@@ -46,12 +55,18 @@ def sample_joint(p: Density2D, n: int, seed: int) -> CoincidenceCounts:
     if not total > 0:
         raise PhysicsError("degenerate all-zero density, nothing to sample")
     cdf = np.cumsum(probs)
+    del probs
     cdf /= cdf[-1]
     rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.random(n)
-    idx = np.searchsorted(cdf, u, side="right")
-    counts = np.bincount(idx, minlength=probs.size).reshape(p.values.shape)
-    return CoincidenceCounts(p.grid1, p.grid2, counts, n)
+    below = np.zeros(cdf.size, dtype=np.int64)
+    for start in range(0, n, _CHUNK):
+        u = rng.random(min(_CHUNK, n - start))
+        u.sort()
+        below += np.searchsorted(u, cdf, side="left")
+        del u
+    del cdf
+    below[1:] -= below[:-1]  # overlapping operands: numpy buffers the input
+    return CoincidenceCounts(p.grid1, p.grid2, below.reshape(p.values.shape), n)
 
 
 def empirical_densities(c: CoincidenceCounts) -> tuple[Density2D, Density1D, Density1D]:

@@ -156,8 +156,11 @@ class Scenario:
 # Parsing / validation helpers
 
 
-def _fail(path: str, msg: str):
-    raise ValidationError(msg, field=path)
+def _fail(path: str, msg: str, *index: int):
+    """Raise a ValidationError for ``path`` followed by ``[i]`` per index.
+    Indices are formatted here, so hot parse loops format nothing unless
+    an entry fails."""
+    raise ValidationError(msg, field=path + "".join(f"[{i}]" for i in index))
 
 
 def _require_mapping(obj, path: str) -> dict:
@@ -222,16 +225,16 @@ def _get_str(obj: dict, key: str, path: str, *, required=True, default=None, cho
     return v
 
 
-def _as_complex(v, path: str) -> complex:
+def _as_complex(v, path: str, *index: int) -> complex:
     if isinstance(v, bool):
-        _fail(path, f"expected a number or [re, im] pair, got {v!r}")
+        _fail(path, f"expected a number or [re, im] pair, got {v!r}", *index)
     if isinstance(v, (int, float)):
         return complex(float(v), 0.0)
     if isinstance(v, list) and len(v) == 2 and all(
         isinstance(c, (int, float)) and not isinstance(c, bool) for c in v
     ):
         return complex(float(v[0]), float(v[1]))
-    _fail(path, f"expected a number or [re, im] pair, got {v!r}")
+    _fail(path, f"expected a number or [re, im] pair, got {v!r}", *index)
 
 
 _PROFILE_FIELDS = {
@@ -252,7 +255,8 @@ def _parse_profile(obj, path: str) -> ProfileCfg:
         raw = d.get("values")
         if not isinstance(raw, list) or not raw:
             _fail(f"{path}.values", "expected a non-empty list")
-        values = tuple(_as_complex(v, f"{path}.values[{i}]") for i, v in enumerate(raw))
+        vpath = f"{path}.values"
+        values = tuple(_as_complex(v, vpath, i) for i, v in enumerate(raw))
         return ProfileCfg("array", {"values": values})
     fields = _PROFILE_FIELDS[kind]
     _no_unknown_keys(d, {"profile", *fields}, path)
@@ -304,16 +308,17 @@ def _parse_element(obj, path: str) -> ElementCfg:
         raw = d.get("matrix")
         if not isinstance(raw, list) or not raw:
             _fail(f"{path}.matrix", "expected a non-empty list of rows")
+        mpath = f"{path}.matrix"
         rows = []
         width = None
         for i, row in enumerate(raw):
             if not isinstance(row, list):
-                _fail(f"{path}.matrix[{i}]", "expected a list")
+                _fail(mpath, "expected a list", i)
             if width is None:
                 width = len(row)
             elif len(row) != width:
-                _fail(f"{path}.matrix[{i}]", "ragged matrix rows")
-            rows.append(tuple(_as_complex(v, f"{path}.matrix[{i}][{j}]") for j, v in enumerate(row)))
+                _fail(mpath, "ragged matrix rows", i)
+            rows.append(tuple(_as_complex(v, mpath, i, j) for j, v in enumerate(row)))
         return ElementCfg(kind, matrix=tuple(rows))
     return ElementCfg(kind)
 
@@ -815,10 +820,11 @@ class RunSummary:
     metrics: dict[str, float]
     files: list[str]
     duration_s: float
+    timings: dict[str, float] = field(default_factory=dict)  # stage -> seconds
 
     def document(self) -> dict:
-        """JSON-safe summary document (duration excluded: output files must
-        be byte-identical across re-runs)."""
+        """JSON-safe summary document (duration and timings excluded: output
+        files must be byte-identical across re-runs)."""
         metrics = {k: (None if isinstance(v, float) and math.isnan(v) else v)
                    for k, v in self.metrics.items()}
         return {"schema_version": SCHEMA_VERSION, "name": self.name,
@@ -848,14 +854,36 @@ def _with_context(kind: str, label: str, fn):
         raise PhysicsError(f"measurement {kind!r}{ctx}: {e}") from e
 
 
-def _compute_variant(s: Scenario, v: VariantCfg, seed_override: int | None) -> VariantResults:
-    source_cfg, arm1_cfg, arm2_cfg = s.resolve(v)
-    grid = s.grid
+def _build_arms(s: Scenario, variants: tuple[VariantCfg, ...]
+                ) -> list[tuple[Kernel, Kernel | None]]:
+    """The (arm 1, arm 2) kernels of each variant, building each distinct
+    (elements, scatterers) pair once. Configs hold dicts, so they are
+    matched with == rather than hashed."""
     scat1 = s.scatterers if (s.scatterers and s.scatterers.arm == 1) else None
     scat2 = s.scatterers if (s.scatterers and s.scatterers.arm == 2) else None
-    k1 = _build_arm(arm1_cfg, scat1, grid, s.wavelength)
-    k2 = _build_arm(arm2_cfg, scat2, grid, s.wavelength) if arm2_cfg is not None else None
-    src = _build_source(source_cfg, grid)
+    built: list[tuple[tuple, Kernel]] = []
+
+    def arm(elements: tuple[ElementCfg, ...], scat: ScatterersCfg | None) -> Kernel:
+        key = (elements, scat)
+        for k, kernel in built:
+            if k == key:
+                return kernel
+        kernel = _build_arm(elements, scat, s.grid, s.wavelength)
+        built.append((key, kernel))
+        return kernel
+
+    arms = []
+    for v in variants:
+        _, arm1_cfg, arm2_cfg = s.resolve(v)
+        arms.append((arm(arm1_cfg, scat1),
+                     arm(arm2_cfg, scat2) if arm2_cfg is not None else None))
+    return arms
+
+
+def _compute_variant(s: Scenario, v: VariantCfg, k1: Kernel, k2: Kernel | None,
+                     seed_override: int | None) -> VariantResults:
+    source_cfg = s.resolve(v)[0]
+    src = _build_source(source_cfg, s.grid)
     kinds = [m.kind for m in s.measurements]
     res = VariantResults(v.label)
 
@@ -939,11 +967,14 @@ def run_scenario(
     jobs count never changes results or output bytes."""
     t0 = time.perf_counter()
     variants = s.effective_variants()
+    arms = _build_arms(s, variants)
     if jobs > 1 and len(variants) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda v: _compute_variant(s, v, seed), variants))
+            results = list(pool.map(lambda v, k: _compute_variant(s, v, *k, seed),
+                                    variants, arms))
     else:
-        results = [_compute_variant(s, v, seed) for v in variants]
+        results = [_compute_variant(s, v, *k, seed) for v, k in zip(variants, arms)]
+    del arms
 
     metrics: dict[str, float] = {}
     for r in results:
@@ -972,34 +1003,45 @@ def run_scenario(
         s.outputs.directory if s.outputs else None)
     fmts = formats if formats is not None else (
         s.outputs.formats if s.outputs else DEFAULT_FORMATS)
-    summary = RunSummary(s.name, metrics, [], time.perf_counter() - t0)
+    t1 = time.perf_counter()
+    summary = RunSummary(s.name, metrics, [], t1 - t0)
     if directory is not None:
         summary.files = write_outputs(results, directory, fmts, summary=summary)
         summary.duration_s = time.perf_counter() - t0
+    summary.timings = {"compute": t1 - t0, "write": summary.duration_s - (t1 - t0)}
     return summary
 
 
 # ---------------------------------------------------------------------------
 # Output writing
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
+#
+# Numbers are written as repr() of Python floats (shortest round-trip form)
+# and str() of Python ints. Arrays are converted with tolist(), which yields
+# the same Python numbers as float(v) / int(v) per element, so the text equals
+# per-element formatting. Each axis coordinate is formatted once, and 2-D
+# tables are converted and streamed to the open file one grid row at a time,
+# so memory stays at one row of text.
 
 
 def _write_csv_1d(path: Path, d: measure.Density1D) -> None:
-    lines = ["x,p"]
-    lines += [f"{_fmt(x)},{_fmt(p)}" for x, p in zip(d.grid.points, d.values)]
-    path.write_text("\n".join(lines) + "\n")
+    rows = map("{},{}\n".format, map(repr, d.grid.points.tolist()), map(repr, d.values.tolist()))
+    path.write_text("x,p\n" + "".join(rows))
+
+
+def _write_table_2d(path: Path, header: str, x1: np.ndarray, x2: np.ndarray,
+                    values: np.ndarray, fmt) -> None:
+    """Write ``x1,x2,value`` lines in row-major order, value text from fmt."""
+    cols = [x + "," for x in map(repr, x2.tolist())]
+    with path.open("w", newline="\n") as f:
+        f.write(header + "\n")
+        for x, row in zip(map(repr, x1.tolist()), values):
+            head = x + ","
+            f.write(head + ("\n" + head).join(map(str.__add__, cols, map(fmt, row.tolist())))
+                    + "\n")
 
 
 def _write_csv_2d(path: Path, d: measure.Density2D) -> None:
-    lines = ["x1,x2,p"]
-    x1, x2 = d.grid1.points, d.grid2.points
-    for i in range(d.grid1.n):
-        row = d.values[i]
-        lines += [f"{_fmt(x1[i])},{_fmt(x2[j])},{_fmt(row[j])}" for j in range(d.grid2.n)]
-    path.write_text("\n".join(lines) + "\n")
+    _write_table_2d(path, "x1,x2,p", d.grid1.points, d.grid2.points, d.values, repr)
 
 
 def _write_pgm(path: Path, values: np.ndarray) -> None:
@@ -1008,24 +1050,20 @@ def _write_pgm(path: Path, values: np.ndarray) -> None:
     scaled = np.zeros_like(values, dtype=np.int64) if peak <= 0 else \
         np.rint(values / peak * 65535).astype(np.int64)
     h, w = values.shape
-    lines = ["P2", f"{w} {h}", "65535"]
-    lines += [" ".join(str(int(v)) for v in row) for row in scaled]
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w", newline="\n") as f:
+        f.write(f"P2\n{w} {h}\n65535\n")
+        for row in scaled:
+            f.write(" ".join(map(str, row.tolist())) + "\n")
 
 
 def _write_counts_csv(path: Path, c: sampling.CoincidenceCounts) -> None:
-    lines = ["x1,x2,count"]
-    x1, x2 = c.grid1.points, c.grid2.points
-    for i in range(c.grid1.n):
-        row = c.counts[i]
-        lines += [f"{_fmt(x1[i])},{_fmt(x2[j])},{int(row[j])}" for j in range(c.grid2.n)]
-    path.write_text("\n".join(lines) + "\n")
+    _write_table_2d(path, "x1,x2,count", c.grid1.points, c.grid2.points, c.counts, str)
 
 
 def _write_schmidt_csv(path: Path, sp: sources.SchmidtSpectrum) -> None:
-    lines = ["index,sigma"]
-    lines += [f"{i},{_fmt(v)}" for i, v in enumerate(sp.singular_values)]
-    path.write_text("\n".join(lines) + "\n")
+    rows = map("{},{}\n".format, range(len(sp.singular_values)),
+               map(repr, sp.singular_values.tolist()))
+    path.write_text("index,sigma\n" + "".join(rows))
 
 
 def write_outputs(

@@ -74,3 +74,13 @@ def test_nearest_index_roundtrip_property():
 def test_grid_equality_and_span():
     assert make_grid(4, 0.25, 1.0) == Grid(4, 0.25, 1.0)
     assert make_grid(4, 0.25).span == 1.0
+
+
+@pytest.mark.parametrize("dx,center,field", [
+    (float("inf"), 0.0, "dx"), (float("nan"), 0.0, "dx"),
+    (1.0, float("inf"), "center"), (1.0, float("-inf"), "center"), (1.0, float("nan"), "center"),
+])
+def test_make_grid_rejects_non_finite_geometry(dx, center, field):
+    with pytest.raises(ValidationError) as e:
+        make_grid(4, dx, center)
+    assert e.value.field == field

@@ -10,6 +10,7 @@ from biphoton import (
     make_grid,
     pearson_chi_square,
     sample_joint,
+    sampling,
 )
 
 SEED = 20260405
@@ -95,3 +96,33 @@ def test_pearson_chi_square_below_999_percentile():
 def test_counts_invariants():
     with pytest.raises(ValidationError):
         CoincidenceCounts(make_grid(2, 1.0), make_grid(2, 1.0), np.array([[1, 0], [0, 0]]), 2)
+
+
+def _per_draw_counts(p: Density2D, n: int, seed: int) -> np.ndarray:
+    """Reference: one inverse-CDF search per uniform draw."""
+    probs = (p.values * (p.grid1.dx * p.grid2.dx)).ravel()
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    u = np.random.Generator(np.random.PCG64(seed)).random(n)
+    idx = np.searchsorted(cdf, u, side="right")
+    return np.bincount(idx, minlength=probs.size).reshape(p.values.shape)
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("shape,dx1,dx2", [((3, 5), 0.5, 0.3), ((16, 16), 1.0, 1.0),
+                                           ((40, 23), 0.1, 2.0)])
+def test_sample_joint_matches_per_draw_reference(monkeypatch, chunk, shape, dx1, dx2):
+    if chunk is not None:
+        monkeypatch.setattr(sampling, "_CHUNK", chunk)
+    rng = np.random.default_rng(SEED)
+    v = rng.random(shape)
+    v[v < 0.4] = 0.0  # zero-probability cells, including runs of them
+    v[0, :] = 0.0
+    v[:, -1] = 0.0
+    v /= v.sum() * dx1 * dx2
+    p = Density2D(make_grid(shape[0], dx1), make_grid(shape[1], dx2), v)
+    for seed in (0, 1, SEED):
+        for n in (1, 7, 50, 5003):  # 50 = seven chunks of 7 plus a remainder of 1
+            c = sample_joint(p, n, seed)
+            assert np.array_equal(c.counts, _per_draw_counts(p, n, seed))
+            assert c.counts[v == 0].sum() == 0

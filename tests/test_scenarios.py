@@ -10,12 +10,15 @@ from biphoton import (
     parse_scenario,
     run_scenario,
     scenario_document,
+    scenarios,
     serialize_scenario,
 )
 from biphoton.cli import main as cli_main
 from biphoton.scenarios import VariantResults, write_outputs
 from biphoton.measure import Density1D, Density2D
 from biphoton.grid import Grid
+from biphoton.sampling import CoincidenceCounts
+from biphoton.sources import SchmidtSpectrum
 
 
 def minimal_document() -> dict:
@@ -198,6 +201,10 @@ def test_cli_run_demo(tmp_path, capsys):
     assert summary["metrics"]["visibility"] == pytest.approx(1.0, abs=1e-9)
     assert (tmp_path / "out" / "summary.json").exists()
     assert (tmp_path / "out" / "marginal_2.csv").exists()
+    assert set(summary["timings"]) == {"compute", "write"}
+    assert all(t >= 0 for t in summary["timings"].values())
+    written = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert "timings" not in written and "duration_s" not in written
 
 
 def test_cli_run_scenario_file_with_jobs(tmp_path, capsys):
@@ -244,3 +251,153 @@ def test_demo_summary_claims():
     assert s.metrics["visibility"] == pytest.approx(1.0, abs=1e-9)
     # the ungated singles carry no object information in the same window
     assert s.metrics["visibility_reference"] < 0.5
+
+
+# ---------------------------------------------------------------------------
+# Fast paths against per-element references
+
+
+def _fmt(v) -> str:
+    return repr(float(v))
+
+
+def _ref_csv_1d(d) -> str:
+    lines = ["x,p"]
+    lines += [f"{_fmt(x)},{_fmt(p)}" for x, p in zip(d.grid.points, d.values)]
+    return "\n".join(lines) + "\n"
+
+
+def _ref_csv_2d(d) -> str:
+    lines = ["x1,x2,p"]
+    x1, x2 = d.grid1.points, d.grid2.points
+    for i in range(d.grid1.n):
+        row = d.values[i]
+        lines += [f"{_fmt(x1[i])},{_fmt(x2[j])},{_fmt(row[j])}" for j in range(d.grid2.n)]
+    return "\n".join(lines) + "\n"
+
+
+def _ref_pgm(values) -> str:
+    peak = values.max()
+    scaled = np.zeros_like(values, dtype=np.int64) if peak <= 0 else \
+        np.rint(values / peak * 65535).astype(np.int64)
+    h, w = values.shape
+    lines = ["P2", f"{w} {h}", "65535"]
+    lines += [" ".join(str(int(v)) for v in row) for row in scaled]
+    return "\n".join(lines) + "\n"
+
+
+def _ref_counts_csv(c) -> str:
+    lines = ["x1,x2,count"]
+    x1, x2 = c.grid1.points, c.grid2.points
+    for i in range(c.grid1.n):
+        row = c.counts[i]
+        lines += [f"{_fmt(x1[i])},{_fmt(x2[j])},{int(row[j])}" for j in range(c.grid2.n)]
+    return "\n".join(lines) + "\n"
+
+
+def _ref_schmidt_csv(sp) -> str:
+    lines = ["index,sigma"]
+    lines += [f"{i},{_fmt(v)}" for i, v in enumerate(sp.singular_values)]
+    return "\n".join(lines) + "\n"
+
+
+# Edge values of the float text: signed zero, the smallest subnormal, a huge
+# value, and shortest-repr digits that a fixed precision would change.
+EDGE_VALUES = [0.0, -0.0, 5e-324, 1e300, 0.1, 1 / 3, 2.5e-7, 123456789.0]
+
+
+def test_writers_match_per_element_reference(tmp_path):
+    g1, g2 = Grid(3, 0.1, 1 / 3), Grid(5, 2.5e-6, -7.0)
+    values = np.resize(np.array(EDGE_VALUES), (3, 5))
+    # The writers only format: bypass the density normalization check.
+    d2 = Density2D.__new__(Density2D)
+    object.__setattr__(d2, "grid1", g1)
+    object.__setattr__(d2, "grid2", g2)
+    object.__setattr__(d2, "values", values)
+    d1 = Density1D.__new__(Density1D)
+    object.__setattr__(d1, "grid", g2)
+    object.__setattr__(d1, "values", values[1])
+    counts = np.arange(15, dtype=np.int64).reshape(3, 5)
+    counts[0, 1] = 2**31 + 5
+    counts[2, 4] = 2**40
+    c = CoincidenceCounts(g1, g2, counts, int(counts.sum()))
+    sp = SchmidtSpectrum(np.array(EDGE_VALUES), 0.0, 1.0)
+    cases = [
+        (scenarios._write_csv_1d, d1, _ref_csv_1d(d1)),
+        (scenarios._write_csv_2d, d2, _ref_csv_2d(d2)),
+        (scenarios._write_pgm, values, _ref_pgm(values)),
+        (scenarios._write_pgm, counts.astype(float), _ref_pgm(counts.astype(float))),
+        (scenarios._write_pgm, np.zeros((2, 3)), _ref_pgm(np.zeros((2, 3)))),
+        (scenarios._write_counts_csv, c, _ref_counts_csv(c)),
+        (scenarios._write_schmidt_csv, sp, _ref_schmidt_csv(sp)),
+    ]
+    for i, (writer, obj, expected) in enumerate(cases):
+        path = tmp_path / f"{i}.txt"
+        writer(path, obj)
+        assert path.read_bytes() == expected.encode(), writer.__name__
+
+
+def _build_arms_per_variant(s, variants):
+    """Reference: every variant builds both of its arms."""
+    scat1 = s.scatterers if (s.scatterers and s.scatterers.arm == 1) else None
+    scat2 = s.scatterers if (s.scatterers and s.scatterers.arm == 2) else None
+    arms = []
+    for v in variants:
+        _, arm1, arm2 = s.resolve(v)
+        arms.append((scenarios._build_arm(arm1, scat1, s.grid, s.wavelength),
+                     scenarios._build_arm(arm2, scat2, s.grid, s.wavelength)
+                     if arm2 is not None else None))
+    return arms
+
+
+def test_run_builds_each_distinct_arm_once(tmp_path, monkeypatch):
+    s = demo_catalog()["spdc-sweep"]
+    calls = []
+    chain = scenarios.chain
+
+    def counting_chain(*args, **kwargs):
+        calls.append(args[0])
+        return chain(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "chain", counting_chain)
+    fast = run_scenario(s, out_dir=tmp_path / "memo")
+    assert len(calls) == 2  # arm1 and arm2, shared by all variants
+    assert len(s.variants) > 2
+    monkeypatch.setattr(scenarios, "_build_arms", _build_arms_per_variant)
+    calls.clear()
+    ref = run_scenario(s, out_dir=tmp_path / "ref")
+    assert len(calls) == 2 * len(s.variants)
+    assert fast.document() == ref.document()
+    assert fast.files == ref.files
+    for name in ref.files:
+        assert (tmp_path / "memo" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
+@pytest.mark.parametrize("where,bad,field", [
+    ("matrix", "x", "arm1[0].matrix[1][2]"),
+    ("matrix", True, "arm1[0].matrix[1][2]"),
+    ("matrix", [1.0, 2.0, 3.0], "arm1[0].matrix[1][2]"),
+    ("matrix-row", None, "arm1[0].matrix[1]"),
+    ("matrix-ragged", None, "arm1[0].matrix[1]"),
+    ("values", "x", "source.amplitude.values[3]"),
+    ("values", [1.0, False], "source.amplitude.values[3]"),
+])
+def test_parse_names_bad_entry_field(where, bad, field):
+    doc = minimal_document()
+    matrix = np.eye(8).tolist()
+    values = [1.0] * 8
+    if where == "matrix":
+        matrix[1][2] = bad
+    elif where == "matrix-row":
+        matrix[1] = 1.0
+    elif where == "matrix-ragged":
+        matrix[1] = matrix[1][:-1]
+    else:
+        values[3] = bad
+    doc["arm1"] = [{"element": "custom", "matrix": matrix}]
+    doc["source"]["amplitude"] = {"profile": "array", "values": values}
+    with pytest.raises(ValidationError) as e:
+        parse_scenario(json.dumps(doc))
+    assert e.value.field == field
+    if where in ("matrix", "values"):
+        assert str(e.value) == f"{field}: expected a number or [re, im] pair, got {bad!r}"
