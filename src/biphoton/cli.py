@@ -10,14 +10,17 @@ import json
 import sys
 from pathlib import Path
 
+from .demos import demo_documents
 from .errors import PhysicsError, ValidationError
-from .scenarios import DEFAULT_FORMATS, demo_catalog, parse_scenario, run_scenario
+from .scenarios import DEFAULT_FORMATS, parse_scenario, run_scenario, scenario_from_document
 
 
 def _load_scenario(ref: str):
-    demos = demo_catalog()
+    """A demo name parses only that demo's document; anything else is read
+    as a scenario file."""
+    demos = demo_documents()
     if ref in demos:
-        return demos[ref]
+        return scenario_from_document(demos[ref])
     path = Path(ref)
     if not path.exists():
         raise ValidationError(f"{ref!r} is neither a demo name nor an existing file "
@@ -60,8 +63,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_list_demos(args) -> int:
-    for name, scenario in demo_catalog().items():
-        print(f"{name}: {scenario.description or ''}")
+    for name, doc in demo_documents().items():
+        print(f"{name}: {doc['description']}")
     return 0
 
 

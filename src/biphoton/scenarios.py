@@ -237,6 +237,17 @@ def _as_complex(v, path: str, *index: int) -> complex:
     _fail(path, f"expected a number or [re, im] pair, got {v!r}", *index)
 
 
+def _require_finite(values: tuple, total: complex, path: str) -> None:
+    """Fail naming the first non-finite entry of ``values`` (a tuple of
+    numbers or of rows), given their sum. NaN and inf survive summation, so
+    a finite total clears the input and entries are searched only when it is
+    not finite (a sum that overflowed finds no entry and passes)."""
+    if not np.isfinite(total):
+        bad = np.argwhere(~np.isfinite(np.array(values, dtype=complex)))
+        if bad.size:
+            _fail(path, "must be finite", *(int(i) for i in bad[0]))
+
+
 _PROFILE_FIELDS = {
     "gaussian": {"waist": True, "center": False},
     "gaussian_aperture": {"width": True, "center": False},
@@ -257,6 +268,7 @@ def _parse_profile(obj, path: str) -> ProfileCfg:
             _fail(f"{path}.values", "expected a non-empty list")
         vpath = f"{path}.values"
         values = tuple(_as_complex(v, vpath, i) for i, v in enumerate(raw))
+        _require_finite(values, sum(values), vpath)
         return ProfileCfg("array", {"values": values})
     fields = _PROFILE_FIELDS[kind]
     _no_unknown_keys(d, {"profile", *fields}, path)
@@ -319,6 +331,7 @@ def _parse_element(obj, path: str) -> ElementCfg:
             elif len(row) != width:
                 _fail(mpath, "ragged matrix rows", i)
             rows.append(tuple(_as_complex(v, mpath, i, j) for j, v in enumerate(row)))
+        _require_finite(rows, sum(map(sum, rows)), mpath)
         return ElementCfg(kind, matrix=tuple(rows))
     return ElementCfg(kind)
 
@@ -449,7 +462,10 @@ def _parse_scatterers(obj, path: str) -> ScatterersCfg:
         position = _get_number(idict, "position", ip)
         if "strength" not in idict:
             _fail(f"{ip}.strength", "missing required field")
-        items.append(ScattererItemCfg(plane, position, _as_complex(idict["strength"], f"{ip}.strength")))
+        strength = _as_complex(idict["strength"], f"{ip}.strength")
+        if not np.isfinite(strength):
+            _fail(f"{ip}.strength", "must be finite")
+        items.append(ScattererItemCfg(plane, position, strength))
     return ScatterersCfg(arm, background, tuple(items))
 
 

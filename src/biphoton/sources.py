@@ -174,10 +174,13 @@ class SpdcParams:
         p = np.asarray(self.pump, dtype=complex)
         if p.ndim != 1:
             raise ValidationError("pump must be a 1-D array")
+        if not np.all(np.isfinite(p)):
+            raise ValidationError("pump contains non-finite entries")
         if not np.any(p):
             raise ValidationError("pump must not be all zero")
-        if not self.pm_width > 0:
-            raise ValidationError(f"phase-matching width must be positive, got {self.pm_width!r}")
+        if not 0 < self.pm_width < np.inf:
+            raise ValidationError(
+                f"phase-matching width must be positive and finite, got {self.pm_width!r}")
         object.__setattr__(self, "pump", p)
 
 
@@ -208,14 +211,34 @@ def spdc_amplitude(params: SpdcParams, grid: Grid) -> BiphotonPure:
 
     renormalized to unit norm. b << dx recovers the ideal entangled state;
     b much larger than the pump width approaches a factorizable state.
+
+    With s = (x + x') / 2, (x - x_k)^2 + (x' - x_k)^2 = 2 (x_k - s)^2 +
+    (x - x')^2 / 2, so on the lattice the amplitude factorizes as
+
+        amp[i, j] = e[i - j] * q[i + j],
+        e[d] = exp(-(d dx)^2 / (4 b^2)),
+        q[m] = sum_k E_p(x_k) dx exp(-((m - 2k) dx / 2)^2 / b^2),
+
+    where q is one correlation of the pump with a Gaussian on the half-step
+    lattice. Both vectors have length 2n - 1, so the build is O(n^2) and
+    nothing n x n is exponentiated. The same product is stored at [i, j]
+    and [j, i]: the result is exactly symmetric, and exactly Hermitian for a
+    real pump. A pump without imaginary part is computed in float64.
     """
     pump = _as_complex_vector(params.pump, grid.n, "pump")
     if not np.any(pump):
         raise ValidationError("pump must not be all zero")
-    b = params.pm_width
-    x = grid.points
-    w = np.exp(-np.subtract.outer(x, x) ** 2 / (2 * b**2))  # w[k, i] = zeta part
-    amp = (w * (pump * grid.dx)[:, None]).T @ w
+    if not np.any(pump.imag):
+        pump = pump.real
+    n, dx, b = grid.n, grid.dx, params.pm_width
+    t = np.arange(-(2 * n - 2), 2 * n - 1)  # half-step offsets m - 2k
+    upsampled = np.zeros(2 * n - 1, dtype=pump.dtype)
+    upsampled[::2] = pump * dx
+    q = np.convolve(np.exp(-((t * dx / 2) / b) ** 2), upsampled, mode="valid")
+    d = np.arange(-(n - 1), n)
+    e = np.exp(-((d * dx) / (2 * b)) ** 2)
+    i = np.arange(n)
+    amp = e[np.subtract.outer(i, i) + (n - 1)] * q[np.add.outer(i, i)]
     return BiphotonPure.normalized(grid, grid, amp)
 
 
@@ -242,8 +265,22 @@ class SchmidtSpectrum:
 
 def schmidt_spectrum(s: BiphotonPure) -> SchmidtSpectrum:
     """Schmidt decomposition of the joint amplitude; quantifies how far the
-    state is from factorizable (K = 1) toward maximally entangled."""
-    sigma = np.linalg.svd(s.amp * np.sqrt(s.grid1.dx * s.grid2.dx), compute_uv=False)
+    state is from factorizable (K = 1) toward maximally entangled.
+
+    The Schmidt coefficients are the singular values of a = amp*sqrt(dx1*dx2).
+    When a is square and exactly equal to its conjugate transpose (an SPDC
+    state from a real pump, or a real-phi entangled delta), they are the
+    absolute eigenvalues from eigvalsh, computed in float64 when a has no
+    imaginary part. Equality is tested exactly, not to a tolerance, so a state
+    Hermitian only up to round-off, a complex-phase pump (complex symmetric)
+    and any other amplitude take the general SVD.
+    """
+    a = s.amp * np.sqrt(s.grid1.dx * s.grid2.dx)
+    if a.shape[0] == a.shape[1] and np.array_equal(a, a.conj().T):
+        w = np.linalg.eigvalsh(a.real if not np.any(a.imag) else a)
+        sigma = np.sort(np.abs(w))[::-1]
+    else:
+        sigma = np.linalg.svd(a, compute_uv=False)
     p = sigma**2
     p = p / p.sum()  # guard round-off before the log
     nz = p[p > 1e-300]

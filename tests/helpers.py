@@ -64,3 +64,14 @@ def gauss_chain_point_psf(x0: float, z0: float, elements, wavelength: float):
     sigma = 1 / (2 * math.sqrt(ra))
     fwhm = 2 * math.sqrt(2 * math.log(2)) * sigma
     return fwhm, -rb / (2 * ra)
+
+
+def double_gaussian_schmidt(b: float, c: float) -> tuple[float, float]:
+    """Schmidt number K and entropy S of the continuum double Gaussian
+    exp(-(x - x')^2 / (4 b^2)) exp(-(x + x')^2 / (4 c^2)). Its Schmidt
+    weights are (1 - mu^2) mu^(2k) with mu = (c - b) / (c + b) (Law and
+    Eberly, PRL 92, 127903 (2004))."""
+    mu2 = ((c - b) / (c + b)) ** 2
+    k = (c / b + b / c) / 2
+    s = -math.log(1 - mu2) - mu2 * math.log(mu2) / (1 - mu2)
+    return k, s

@@ -6,6 +6,7 @@ import pytest
 from biphoton import (
     PhysicsError,
     ValidationError,
+    cli,
     demo_catalog,
     parse_scenario,
     run_scenario,
@@ -213,6 +214,30 @@ def test_cli_run_scenario_file_with_jobs(tmp_path, capsys):
     assert cli_main(["run", str(path), "--out", str(tmp_path / "o"), "--jobs", "2"]) == 0
 
 
+def test_cli_run_file_parses_no_demo(tmp_path, capsys, monkeypatch):
+    parsed = []
+    original = scenarios.scenario_from_document
+
+    def counting(doc):
+        parsed.append(doc.get("name"))
+        return original(doc)
+
+    monkeypatch.setattr(scenarios, "scenario_from_document", counting)
+    monkeypatch.setattr(cli, "scenario_from_document", counting)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**minimal_document(), "name": "from-file"}))
+    assert cli_main(["run", str(path)]) == 0
+    assert parsed == ["from-file"]
+    parsed.clear()
+    assert cli_main(["run", "factorizable-null", "--out", str(tmp_path / "o")]) == 0
+    assert parsed == ["factorizable-null"]
+    parsed.clear()
+    assert cli_main(["list-demos"]) == 0
+    assert parsed == []
+    listed = capsys.readouterr().out.splitlines()[-len(demo_catalog()):]
+    assert listed == [f"{name}: {s.description}" for name, s in demo_catalog().items()]
+
+
 def test_cli_physics_error_exit_code(tmp_path, capsys):
     doc = minimal_document()
     doc["source"] = {"type": "correlated",
@@ -373,16 +398,10 @@ def test_run_builds_each_distinct_arm_once(tmp_path, monkeypatch):
         assert (tmp_path / "memo" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
 
-@pytest.mark.parametrize("where,bad,field", [
-    ("matrix", "x", "arm1[0].matrix[1][2]"),
-    ("matrix", True, "arm1[0].matrix[1][2]"),
-    ("matrix", [1.0, 2.0, 3.0], "arm1[0].matrix[1][2]"),
-    ("matrix-row", None, "arm1[0].matrix[1]"),
-    ("matrix-ragged", None, "arm1[0].matrix[1]"),
-    ("values", "x", "source.amplitude.values[3]"),
-    ("values", [1.0, False], "source.amplitude.values[3]"),
-])
-def test_parse_names_bad_entry_field(where, bad, field):
+def _document_with_bad_entry(where, bad) -> dict:
+    """A custom 8x8 matrix in arm 1 and an array amplitude, one entry bad:
+    matrix[1][2] ("matrix"), row 1 ("matrix-row", "matrix-ragged") or
+    values[3] ("values")."""
     doc = minimal_document()
     matrix = np.eye(8).tolist()
     values = [1.0] * 8
@@ -396,8 +415,58 @@ def test_parse_names_bad_entry_field(where, bad, field):
         values[3] = bad
     doc["arm1"] = [{"element": "custom", "matrix": matrix}]
     doc["source"]["amplitude"] = {"profile": "array", "values": values}
+    return doc
+
+
+@pytest.mark.parametrize("where,bad,field", [
+    ("matrix", "x", "arm1[0].matrix[1][2]"),
+    ("matrix", True, "arm1[0].matrix[1][2]"),
+    ("matrix", [1.0, 2.0, 3.0], "arm1[0].matrix[1][2]"),
+    ("matrix-row", None, "arm1[0].matrix[1]"),
+    ("matrix-ragged", None, "arm1[0].matrix[1]"),
+    ("values", "x", "source.amplitude.values[3]"),
+    ("values", [1.0, False], "source.amplitude.values[3]"),
+])
+def test_parse_names_bad_entry_field(where, bad, field):
     with pytest.raises(ValidationError) as e:
-        parse_scenario(json.dumps(doc))
+        parse_scenario(json.dumps(_document_with_bad_entry(where, bad)))
     assert e.value.field == field
     if where in ("matrix", "values"):
         assert str(e.value) == f"{field}: expected a number or [re, im] pair, got {bad!r}"
+
+
+@pytest.mark.parametrize("where,bad,field", [
+    ("values", float("nan"), "source.amplitude.values[3]"),
+    ("values", [1.0, float("inf")], "source.amplitude.values[3]"),
+    ("matrix", float("-inf"), "arm1[0].matrix[1][2]"),
+    ("matrix", [float("nan"), 0.0], "arm1[0].matrix[1][2]"),
+])
+def test_parse_rejects_non_finite_entry(where, bad, field):
+    text = json.dumps(_document_with_bad_entry(where, bad))
+    assert "NaN" in text or "Infinity" in text  # what json.loads accepts
+    with pytest.raises(ValidationError) as e:
+        parse_scenario(text)
+    assert e.value.field == field
+    assert str(e.value) == f"{field}: must be finite"
+
+
+def test_parse_rejects_non_finite_spdc_pump_and_strength():
+    doc = minimal_document()
+    doc["source"] = {"type": "spdc", "pm_width": 1e-5,
+                     "pump": {"profile": "array", "values": [1, 1, 1, 1, 1, float("nan"), 1, 1]}}
+    with pytest.raises(ValidationError) as e:
+        parse_scenario(json.dumps(doc))
+    assert e.value.field == "source.pump.values[5]"
+    doc = minimal_document()
+    doc["scatterers"] = {"arm": 1, "items": [
+        {"plane": 0, "position": 0.0, "strength": [0.0, float("inf")]}]}
+    with pytest.raises(ValidationError) as e:
+        parse_scenario(json.dumps(doc))
+    assert e.value.field == "scatterers.items[0].strength"
+
+
+def test_parse_accepts_finite_entries_whose_sum_overflows():
+    doc = minimal_document()
+    doc["source"]["amplitude"] = {"profile": "array", "values": [1e308] * 8}
+    s = parse_scenario(json.dumps(doc))
+    assert s.source.amplitude.params["values"] == (1e308 + 0j,) * 8
