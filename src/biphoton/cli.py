@@ -40,8 +40,7 @@ def _cmd_run(args) -> int:
         for f in formats:
             if f not in DEFAULT_FORMATS:
                 raise ValidationError(f"unknown output format {f!r}", field="--format")
-    summary = run_scenario(scenario, out_dir=args.out, formats=formats,
-                           seed=args.seed, jobs=args.jobs)
+    summary = run_scenario(scenario, out_dir=args.out, formats=formats, seed=args.seed)
     doc = summary.document()
     doc["duration_s"] = summary.duration_s
     doc["timings"] = summary.timings
@@ -83,8 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated subset of csv,pgm,json")
     run.add_argument("--seed", type=int, default=None,
                      help="override sampling seeds (stable per variant/measurement)")
-    run.add_argument("--jobs", type=int, default=1,
-                     help="worker threads for independent variants (results identical)")
     run.set_defaults(fn=_cmd_run)
 
     validate = sub.add_parser("validate", help="validate a scenario file")

@@ -12,6 +12,18 @@ with the trace over the other photon taken last, so that matrix is never
 formed. ``sources.reduced_coherence`` stays the reference the tests compare
 against.
 
+A co-located pair amplitude (square, every nonzero entry on the diagonal:
+the ideal entangled source, each ``localized`` component, an SPDC state
+whose off-diagonal entries underflow to 0) is applied to a kernel by
+scaling its columns, H diag(d) = H * d. Each sum of that product has one
+nonzero term, so the two agree bit for bit for a real diagonal and to one
+rounding for a complex one (the BLAS product fuses multiply-adds). Its
+singles are then |H|^2 |d|^2 with no n x n product.
+
+Marginals come from the one joint: the scenario runner measures a pure pair
+as the one-component mixture and integrates that variant's single joint
+over the gating detector, so no joint is computed twice.
+
 Closed forms for the ideal entangled source and the classically correlated
 source are provided next to the generic routes so each can be checked
 against the other. All outputs are normalized to unit integral: detector
@@ -145,10 +157,24 @@ def single_partially_coherent(s: SinglePhotonMixed, k: Kernel) -> Density1D:
 # Pure biphoton densities
 
 
+def _diagonal(a: np.ndarray) -> np.ndarray | None:
+    """The diagonal of a square matrix with no nonzero entry off it, else None."""
+    if a.shape[0] != a.shape[1]:
+        return None
+    d = np.diagonal(a)
+    return d if np.count_nonzero(a) == np.count_nonzero(d) else None
+
+
+def _apply(h: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """h @ a, by column scaling when a is diagonal."""
+    d = _diagonal(a)
+    return h @ a if d is None else h * d[None, :]
+
+
 def _joint_raw(s: BiphotonPure, k1: Kernel, k2: Kernel) -> np.ndarray:
     if s.grid1 != k1.grid_in or s.grid2 != k2.grid_in:
         raise ValidationError("biphoton_joint: source grids must match kernel input grids")
-    a = k1.matrix @ s.amp @ k2.matrix.T * (s.grid1.dx * s.grid2.dx)
+    a = _apply(k1.matrix, s.amp) @ k2.matrix.T * (s.grid1.dx * s.grid2.dx)
     return np.abs(a) ** 2
 
 
@@ -171,15 +197,20 @@ def _singles_raw(s: BiphotonPure, k: Kernel, arm: int) -> np.ndarray:
         raise ValidationError(f"arm must be 1 or 2, got {arm!r}")
     if grid_in != k.grid_in:
         raise ValidationError("biphoton singles: source grid must match kernel input grid")
-    t = k.matrix @ a
-    vals = (t.real**2 + t.imag**2).sum(axis=1) * (dx_other * grid_in.dx**2)
-    return _clip_nonnegative(vals, "singles density")
+    h = k.matrix
+    d = _diagonal(a)
+    if d is None:
+        t = h @ a
+        vals = (t.real**2 + t.imag**2).sum(axis=1)
+    else:
+        vals = (h.real**2 + h.imag**2) @ (d.real**2 + d.imag**2)
+    return _clip_nonnegative(vals * (dx_other * grid_in.dx**2), "singles density")
 
 
 def biphoton_singles(s: BiphotonPure, k: Kernel, arm: int) -> Density1D:
     """Singles rate of one arm: partially coherent imaging of the traced-out
     (reduced) coherence of that photon."""
-    return _norm_1d(_singles_raw(s, k, arm), k.grid_out, "output density")
+    return _norm_1d(_singles_raw(s, k, arm), k.grid_out, "singles density")
 
 
 def marginal_from_joint(p: Density2D, arm: int) -> Density1D:
@@ -271,25 +302,22 @@ def correlated_marginal(
 
 def mixture_joint(m: BiphotonMixture, k1: Kernel, k2: Kernel) -> Density2D:
     vals = sum(w * _joint_raw(s, k1, k2) for w, s in m.components)
-    return _norm_2d(vals, k1.grid_out, k2.grid_out, "mixture joint density")
+    return _norm_2d(vals, k1.grid_out, k2.grid_out, "joint density")
 
 
 def mixture_singles(m: BiphotonMixture, k: Kernel, arm: int) -> Density1D:
     vals = sum(w * _singles_raw(s, k, arm) for w, s in m.components)
-    return _norm_1d(vals, k.grid_out, "mixture singles density")
+    return _norm_1d(vals, k.grid_out, "singles density")
 
 
 def mixture_marginal(m: BiphotonMixture, k_obs: Kernel, k_other: Kernel, arm: int) -> Density1D:
-    """Bucket-gated marginal of a mixture: per-component joint densities are
-    summed unnormalized, then integrated over the gating detector."""
+    """Bucket-gated marginal of a mixture: the mixture joint integrated over
+    the gating detector."""
     if arm == 1:
-        k1, k2, axis, dx_other = k_obs, k_other, 1, k_other.grid_out.dx
-    elif arm == 2:
-        k1, k2, axis, dx_other = k_other, k_obs, 0, k_other.grid_out.dx
-    else:
-        raise ValidationError(f"arm must be 1 or 2, got {arm!r}")
-    vals = sum(w * _joint_raw(s, k1, k2).sum(axis=axis) * dx_other for w, s in m.components)
-    return _norm_1d(vals, k_obs.grid_out, "mixture marginal")
+        return marginal_from_joint(mixture_joint(m, k_obs, k_other), 1)
+    if arm == 2:
+        return marginal_from_joint(mixture_joint(m, k_other, k_obs), 2)
+    raise ValidationError(f"arm must be 1 or 2, got {arm!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -915,15 +914,17 @@ def _compute_variant(s: Scenario, v: VariantCfg, k1: Kernel, k2: Kernel | None,
         if "singles_1" in kinds:
             res.items["singles_1"] = _with_context(
                 "singles_1", v.label, lambda: measure.single_partially_coherent(src, k1))
-    elif isinstance(src, sources.BiphotonPure):
+    elif isinstance(src, (sources.BiphotonPure, sources.BiphotonMixture)):
+        mix = (src if isinstance(src, sources.BiphotonMixture)
+               else sources.BiphotonMixture(((1.0, src),)))
         if any(k in kinds for k in _NEEDS_JOINT):
             joint = _with_context(
-                "joint", v.label, lambda: measure.biphoton_joint(src, k1, k2))
+                "joint", v.label, lambda: measure.mixture_joint(mix, k1, k2))
         for arm in (1, 2):
             if f"singles_{arm}" in kinds:
                 res.items[f"singles_{arm}"] = _with_context(
                     f"singles_{arm}", v.label,
-                    lambda arm=arm: measure.biphoton_singles(src, kernel_for_arm(arm), arm))
+                    lambda arm=arm: measure.mixture_singles(mix, kernel_for_arm(arm), arm))
             if f"marginal_{arm}" in kinds:
                 res.items[f"marginal_{arm}"] = _with_context(
                     f"marginal_{arm}", v.label,
@@ -944,20 +945,6 @@ def _compute_variant(s: Scenario, v: VariantCfg, k1: Kernel, k2: Kernel | None,
                     f"marginal_{arm}", v.label,
                     lambda arm=arm: measure.correlated_marginal(
                         src, kernel_for_arm(arm), kernel_for_arm(2 if arm == 1 else 1)))
-    elif isinstance(src, sources.BiphotonMixture):
-        if "joint" in kinds or "sample" in kinds:
-            joint = _with_context(
-                "joint", v.label, lambda: measure.mixture_joint(src, k1, k2))
-        for arm in (1, 2):
-            if f"singles_{arm}" in kinds:
-                res.items[f"singles_{arm}"] = _with_context(
-                    f"singles_{arm}", v.label,
-                    lambda arm=arm: measure.mixture_singles(src, kernel_for_arm(arm), arm))
-            if f"marginal_{arm}" in kinds:
-                res.items[f"marginal_{arm}"] = _with_context(
-                    f"marginal_{arm}", v.label,
-                    lambda arm=arm: measure.mixture_marginal(
-                        src, kernel_for_arm(arm), kernel_for_arm(2 if arm == 1 else 1), arm))
     else:  # pragma: no cover
         raise ValidationError(f"unsupported source object {type(src).__name__}")
 
@@ -976,20 +963,13 @@ def run_scenario(
     out_dir: str | Path | None = None,
     formats: tuple[str, ...] | None = None,
     seed: int | None = None,
-    jobs: int = 1,
 ) -> RunSummary:
     """Execute all measurements of a scenario, write requested outputs and
-    return the summary. Deterministic for a fixed scenario document; the
-    jobs count never changes results or output bytes."""
+    return the summary. Deterministic for a fixed scenario document."""
     t0 = time.perf_counter()
     variants = s.effective_variants()
     arms = _build_arms(s, variants)
-    if jobs > 1 and len(variants) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda v, k: _compute_variant(s, v, *k, seed),
-                                    variants, arms))
-    else:
-        results = [_compute_variant(s, v, *k, seed) for v, k in zip(variants, arms)]
+    results = [_compute_variant(s, v, *k, seed) for v, k in zip(variants, arms)]
     del arms
 
     metrics: dict[str, float] = {}

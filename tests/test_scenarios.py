@@ -125,14 +125,6 @@ def test_run_writes_deterministic_outputs(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_run_jobs_equivalence(tmp_path):
-    s = demo_catalog()["factorizable-null"]
-    run_scenario(s, out_dir=tmp_path / "j1", jobs=1)
-    run_scenario(s, out_dir=tmp_path / "j4", jobs=4)
-    for p in sorted((tmp_path / "j1").iterdir()):
-        assert p.read_bytes() == (tmp_path / "j4" / p.name).read_bytes()
-
-
 def test_seed_override_is_stable(tmp_path):
     doc = minimal_document()
     doc["measurements"] = [{"kind": "sample", "n": 500, "seed": 42}]
@@ -208,10 +200,10 @@ def test_cli_run_demo(tmp_path, capsys):
     assert "timings" not in written and "duration_s" not in written
 
 
-def test_cli_run_scenario_file_with_jobs(tmp_path, capsys):
+def test_cli_run_scenario_file(tmp_path, capsys):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(minimal_document()))
-    assert cli_main(["run", str(path), "--out", str(tmp_path / "o"), "--jobs", "2"]) == 0
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_cli_run_file_parses_no_demo(tmp_path, capsys, monkeypatch):
