@@ -8,6 +8,13 @@ executes the measurement pipeline deterministically and writes CSV / PGM /
 JSON files; the built-in demo catalog covers ghost imaging and diffraction,
 the factorizable null case, the isoplanatic correlated case, an SPDC
 phase-matching sweep and scatterer refocusing.
+
+Each config type's JSON fields are declared once, in one schema table per
+type (``_GRID``, ``_PROFILE``, ``_ELEMENT``, ``_SOURCE`` ... ``_DOCUMENT``)
+mapping each JSON key to a reader with its checks, a default or "required",
+and a writer. ``_Object.read`` and ``_Object.write`` parse, validate and
+serialize from these tables; checks spanning fields are in
+``_validate_cross_fields``.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import hashlib
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,16 +151,19 @@ class Scenario:
             return self.variants
         return (VariantCfg(label=""),)
 
-    def resolve(self, v: VariantCfg) -> tuple[SourceCfg, tuple[ElementCfg, ...], tuple[ElementCfg, ...] | None]:
-        source = v.source if v.source is not None else self.source
-        arm1 = v.arm1 if v.arm1 is not None else self.arm1
-        arm2 = v.arm2 if v.arm2 is not None else self.arm2
-        assert source is not None and arm1 is not None  # guaranteed by validation
-        return source, arm1, arm2
+    def resolve(self, v: VariantCfg) -> tuple[SourceCfg | None, tuple[ElementCfg, ...] | None,
+                                              tuple[ElementCfg, ...] | None]:
+        """The variant's source and arms, each falling back to the scenario's
+        (None where neither defines it)."""
+        return (v.source if v.source is not None else self.source,
+                v.arm1 if v.arm1 is not None else self.arm1,
+                v.arm2 if v.arm2 is not None else self.arm2)
 
 
 # ---------------------------------------------------------------------------
-# Parsing / validation helpers
+# Schema: each config type declares its fields once, as a table of JSON key
+# -> _Field. _Object.read parses and validates a document against the tables
+# and _Object.write serializes a config back from the same tables.
 
 
 def _fail(path: str, msg: str, *index: int):
@@ -162,66 +173,146 @@ def _fail(path: str, msg: str, *index: int):
     raise ValidationError(msg, field=path + "".join(f"[{i}]" for i in index))
 
 
-def _require_mapping(obj, path: str) -> dict:
-    if not isinstance(obj, dict):
-        _fail(path, f"expected an object, got {type(obj).__name__}")
-    return obj
+_REQUIRED = object()  # default of a field that must be present
 
 
-def _no_unknown_keys(obj: dict, allowed: set[str], path: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            _fail(f"{path}.{key}" if path else key, "unknown key")
+@dataclass(frozen=True)
+class _Codec:
+    """Reads one JSON value, checking it and naming failures by the value's
+    dotted path, and writes the config value back to JSON."""
+    read: Callable[[object, str], object]
+    write: Callable[[object], object] = lambda v: v
 
 
-def _get_number(obj: dict, key: str, path: str, *, required=True, default=None,
-                positive=False, nonnegative=False, nonzero=False):
-    if key not in obj:
-        if required:
-            _fail(f"{path}.{key}" if path else key, "missing required field")
-        return default
-    v = obj[key]
+@dataclass(frozen=True)
+class _Field:
+    codec: "_Codec | _Object"
+    default: object = _REQUIRED
+    attr: str | None = None  # config attribute, when it is not the JSON key
+
+
+@dataclass(frozen=True)
+class _Kinds:
+    """Field tables chosen by the string under JSON key ``tag``, stored as
+    config attribute ``attr``. A table may itself be chosen by a second tag."""
+    tag: str
+    tables: dict
+    attr: str = "kind"
+
+
+@dataclass(frozen=True)
+class _Object:
+    """A JSON object type: its field table (or tables by kind), the config
+    constructor taking attribute values, and its inverse."""
+    fields: "dict[str, _Field] | _Kinds"
+    make: Callable[[dict], object]
+    unpack: Callable[[object], dict] = vars
+
+    def read(self, obj, path: str, kinds=None):
+        """Parse ``obj``: choose the table by tag (restricted to ``kinds``),
+        reject unknown keys, then read every field in table order."""
+        if not isinstance(obj, dict):
+            _fail(path, f"expected an object, got {type(obj).__name__}")
+        values: dict = {}
+        tags = []
+        table = self.fields
+        while isinstance(table, _Kinds):
+            values[table.attr] = kind = _read_field(obj, path, table.tag,
+                                                    _Field(_string(kinds or table.tables)))
+            tags.append(table.tag)
+            table, kinds = table.tables[kind], None
+        for key in obj:
+            if key not in table and key not in tags:
+                _fail(f"{path}.{key}" if path else key, "unknown key")
+        for key, f in table.items():
+            values[f.attr or key] = _read_field(obj, path, key, f)
+        return self.make(values)
+
+    def write(self, cfg) -> dict:
+        """The JSON object of ``cfg``; optional fields left unset (None, or
+        an empty tuple defaulting to one) are omitted."""
+        values = self.unpack(cfg)
+        d: dict = {}
+        table = self.fields
+        while isinstance(table, _Kinds):
+            d[table.tag] = kind = values[table.attr]
+            table = table.tables[kind]
+        for key, f in table.items():
+            v = values[f.attr or key]
+            if v is not None and not (v == () and f.default == ()):
+                d[key] = f.codec.write(v)
+        return d
+
+
+def _read_field(d: dict, path: str, key: str, f: _Field):
     p = f"{path}.{key}" if path else key
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(p, f"expected a number, got {v!r}")
-    v = float(v)
-    if not math.isfinite(v):
-        _fail(p, "must be finite")
-    if positive and not v > 0:
-        _fail(p, f"must be positive, got {v!r}")
-    if nonnegative and v < 0:
-        _fail(p, f"must be non-negative, got {v!r}")
-    if nonzero and v == 0:
-        _fail(p, "must be nonzero")
-    return v
+    if key in d:
+        return f.codec.read(d[key], p)
+    if f.default is _REQUIRED:
+        _fail(p, "missing required field")
+    return f.default
 
 
-def _get_int(obj: dict, key: str, path: str, *, required=True, default=None, minimum=None):
-    if key not in obj:
-        if required:
-            _fail(f"{path}.{key}" if path else key, "missing required field")
-        return default
-    v = obj[key]
-    p = f"{path}.{key}" if path else key
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(p, f"expected an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        _fail(p, f"must be >= {minimum}, got {v}")
-    return v
+def _then(codec: _Codec, check) -> _Codec:
+    """``codec`` followed by ``check(value, path)``, which returns the value."""
+    return _Codec(lambda v, p: check(codec.read(v, p), p), codec.write)
 
 
-def _get_str(obj: dict, key: str, path: str, *, required=True, default=None, choices=None):
-    if key not in obj:
-        if required:
-            _fail(f"{path}.{key}" if path else key, "missing required field")
-        return default
-    v = obj[key]
-    p = f"{path}.{key}" if path else key
-    if not isinstance(v, str):
-        _fail(p, f"expected a string, got {v!r}")
-    if choices is not None and v not in choices:
-        _fail(p, f"must be one of {sorted(choices)}, got {v!r}")
-    return v
+def _checked(codec: _Codec, ok, message) -> _Codec:
+    """``codec`` whose value must pass ``ok``; ``message(value)`` says why not."""
+    return _then(codec, lambda v, p: v if ok(v) else _fail(p, message(v)))
+
+
+def _number(*, positive=False, nonnegative=False, nonzero=False) -> _Codec:
+    def read(v, p):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            _fail(p, f"expected a number, got {v!r}")
+        v = float(v)
+        if not math.isfinite(v):
+            _fail(p, "must be finite")
+        if positive and not v > 0:
+            _fail(p, f"must be positive, got {v!r}")
+        if nonnegative and v < 0:
+            _fail(p, f"must be non-negative, got {v!r}")
+        if nonzero and v == 0:
+            _fail(p, "must be nonzero")
+        return v
+    return _Codec(read)
+
+
+def _integer(minimum=None) -> _Codec:
+    def read(v, p):
+        if isinstance(v, bool) or not isinstance(v, int):
+            _fail(p, f"expected an integer, got {v!r}")
+        if minimum is not None and v < minimum:
+            _fail(p, f"must be >= {minimum}, got {v}")
+        return v
+    return _Codec(read)
+
+
+def _string(choices=None) -> _Codec:
+    def read(v, p):
+        if not isinstance(v, str):
+            _fail(p, f"expected a string, got {v!r}")
+        if choices is not None and v not in choices:
+            _fail(p, f"must be one of {sorted(choices)}, got {v!r}")
+        return v
+    return _Codec(read)
+
+
+def _safe_name(word: str) -> _Codec:
+    """A string usable in a file name: alphanumerics and ``._-``, no leading dot."""
+    return _checked(_string(), lambda s: bool(s) and not s.startswith(".") and all(
+        c.isalnum() or c in "._-" for c in s), lambda s: f"invalid {word} {s!r}")
+
+
+def _list(item: "_Codec | _Object") -> _Codec:
+    """A non-empty list, read into a tuple."""
+    def read(raw, p):
+        if not isinstance(raw, list) or not raw:
+            _fail(p, "expected a non-empty list")
+        return tuple(item.read(v, f"{p}[{i}]") for i, v in enumerate(raw))
+    return _Codec(read, lambda values: [item.write(v) for v in values])
 
 
 def _as_complex(v, path: str, *index: int) -> complex:
@@ -236,6 +327,10 @@ def _as_complex(v, path: str, *index: int) -> complex:
     _fail(path, f"expected a number or [re, im] pair, got {v!r}", *index)
 
 
+def _complex_out(z: complex):
+    return z.real if z.imag == 0 else [z.real, z.imag]
+
+
 def _require_finite(values: tuple, total: complex, path: str) -> None:
     """Fail naming the first non-finite entry of ``values`` (a tuple of
     numbers or of rows), given their sum. NaN and inf survive summation, so
@@ -247,311 +342,178 @@ def _require_finite(values: tuple, total: complex, path: str) -> None:
             _fail(path, "must be finite", *(int(i) for i in bad[0]))
 
 
-_PROFILE_FIELDS = {
-    "gaussian": {"waist": True, "center": False},
-    "gaussian_aperture": {"width": True, "center": False},
-    "uniform": {},
-    "delta": {"position": False},
-    "double_slit": {"separation": True, "width": True},
-    "step_edge": {"position": False},
-}
-
-
-def _parse_profile(obj, path: str) -> ProfileCfg:
-    d = _require_mapping(obj, path)
-    kind = _get_str(d, "profile", path, choices=set(_PROFILE_FIELDS) | {"array"})
-    if kind == "array":
-        _no_unknown_keys(d, {"profile", "values"}, path)
-        raw = d.get("values")
-        if not isinstance(raw, list) or not raw:
-            _fail(f"{path}.values", "expected a non-empty list")
-        vpath = f"{path}.values"
-        values = tuple(_as_complex(v, vpath, i) for i, v in enumerate(raw))
-        _require_finite(values, sum(values), vpath)
-        return ProfileCfg("array", {"values": values})
-    fields = _PROFILE_FIELDS[kind]
-    _no_unknown_keys(d, {"profile", *fields}, path)
-    params = {}
-    for name, required in fields.items():
-        positive = name in ("waist", "width", "separation")
-        v = _get_number(d, name, path, required=required, positive=positive,
-                        default=0.0 if name in ("center", "position") else None)
-        if v is not None:
-            params[name] = v
-    return ProfileCfg(kind, params)
-
-
-def _resolve_profile(cfg: ProfileCfg, grid: Grid) -> np.ndarray:
-    if cfg.kind == "array":
-        values = np.array(cfg.params["values"], dtype=complex)
-        if values.shape != (grid.n,):
-            raise ValidationError(
-                f"array profile length {values.shape[0]} does not match grid n={grid.n}"
-            )
-        return values
-    fn = getattr(profiles, cfg.kind)
-    return fn(grid, **cfg.params)
-
-
-_ELEMENT_FIELDS = {
-    "identity": set(),
-    "free_space": {"distance"},
-    "thin_lens": {"focal_length"},
-    "mask": {"transmittance"},
-    "fourier": {"focal_length"},
-    "custom": {"matrix"},
-}
-
-
-def _parse_element(obj, path: str) -> ElementCfg:
-    d = _require_mapping(obj, path)
-    kind = _get_str(d, "element", path, choices=set(_ELEMENT_FIELDS))
-    _no_unknown_keys(d, {"element", *_ELEMENT_FIELDS[kind]}, path)
-    if kind == "free_space":
-        return ElementCfg(kind, distance=_get_number(d, "distance", path, positive=True))
-    if kind in ("thin_lens", "fourier"):
-        return ElementCfg(kind, focal_length=_get_number(d, "focal_length", path, nonzero=True))
-    if kind == "mask":
-        if "transmittance" not in d:
-            _fail(f"{path}.transmittance", "missing required field")
-        return ElementCfg(kind, transmittance=_parse_profile(d["transmittance"], f"{path}.transmittance"))
-    if kind == "custom":
-        raw = d.get("matrix")
-        if not isinstance(raw, list) or not raw:
-            _fail(f"{path}.matrix", "expected a non-empty list of rows")
-        mpath = f"{path}.matrix"
-        rows = []
-        width = None
-        for i, row in enumerate(raw):
-            if not isinstance(row, list):
-                _fail(mpath, "expected a list", i)
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                _fail(mpath, "ragged matrix rows", i)
-            rows.append(tuple(_as_complex(v, mpath, i, j) for j, v in enumerate(row)))
-        _require_finite(rows, sum(map(sum, rows)), mpath)
-        return ElementCfg(kind, matrix=tuple(rows))
-    return ElementCfg(kind)
-
-
-def _parse_arm(obj, path: str) -> tuple[ElementCfg, ...]:
-    if not isinstance(obj, list):
-        _fail(path, f"expected a list of elements, got {type(obj).__name__}")
-    return tuple(_parse_element(e, f"{path}[{i}]") for i, e in enumerate(obj))
-
-
-_SOURCE_FIELDS = {
-    "single_pure": {"amplitude"},
-    "single_mixed": {"model", "amplitude", "intensity"},
-    "factorizable": {"amplitude1", "amplitude2"},
-    "entangled_delta": {"amplitude"},
-    "spdc": {"pump", "pm_width"},
-    "correlated": {"intensity"},
-    "mixture": {"components"},
-    "localized": {"intensity"},
-}
-
-
-def _parse_source(obj, path: str, *, mixture_component=False) -> SourceCfg:
-    d = _require_mapping(obj, path)
-    allowed_kinds = set(_SOURCE_FIELDS) - {"localized"}
-    if mixture_component:
-        allowed_kinds = _PURE_BIPHOTON_KINDS | {"localized"}
-    kind = _get_str(d, "type", path, choices=allowed_kinds)
-    _no_unknown_keys(d, {"type", *_SOURCE_FIELDS[kind]}, path)
-
-    def prof(key, required=True):
-        if key not in d:
-            if required:
-                _fail(f"{path}.{key}", "missing required field")
-            return None
-        return _parse_profile(d[key], f"{path}.{key}")
-
-    if kind in ("single_pure", "entangled_delta"):
-        return SourceCfg(kind, amplitude=prof("amplitude"))
-    if kind == "single_mixed":
-        model = _get_str(d, "model", path, choices={"coherent", "incoherent"})
-        if model == "coherent":
-            return SourceCfg(kind, model=model, amplitude=prof("amplitude"))
-        return SourceCfg(kind, model=model, intensity=prof("intensity"))
-    if kind == "factorizable":
-        if "amplitude1" not in d:
-            _fail(f"{path}.amplitude1", "missing required field")
-        return SourceCfg(
-            kind,
-            amplitude=_parse_profile(d["amplitude1"], f"{path}.amplitude1"),
-            amplitude2=prof("amplitude2"),
-        )
-    if kind == "spdc":
-        return SourceCfg(kind, pump=prof("pump"),
-                         pm_width=_get_number(d, "pm_width", path, positive=True))
-    if kind in ("correlated", "localized"):
-        return SourceCfg(kind, intensity=prof("intensity"))
-    # mixture
-    raw = d.get("components")
+def _read_values(raw, p) -> tuple:
     if not isinstance(raw, list) or not raw:
-        _fail(f"{path}.components", "expected a non-empty list")
-    comps = []
-    for i, c in enumerate(raw):
-        cp = f"{path}.components[{i}]"
-        cd = _require_mapping(c, cp)
-        _no_unknown_keys(cd, {"weight", "source"}, cp)
-        w = _get_number(cd, "weight", cp, nonnegative=True)
-        if "source" not in cd:
-            _fail(f"{cp}.source", "missing required field")
-        comps.append(MixtureComponentCfg(w, _parse_source(cd["source"], f"{cp}.source",
-                                                          mixture_component=True)))
-    total = sum(c.weight for c in comps)
+        _fail(p, "expected a non-empty list")
+    values = tuple(_as_complex(v, p, i) for i, v in enumerate(raw))
+    _require_finite(values, sum(values), p)
+    return values
+
+
+def _read_matrix(raw, p) -> tuple:
+    if not isinstance(raw, list) or not raw:
+        _fail(p, "expected a non-empty list of rows")
+    rows = []
+    width = None
+    for i, row in enumerate(raw):
+        if not isinstance(row, list):
+            _fail(p, "expected a list", i)
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            _fail(p, "ragged matrix rows", i)
+        rows.append(tuple(_as_complex(v, p, i, j) for j, v in enumerate(row)))
+    _require_finite(rows, sum(map(sum, rows)), p)
+    return tuple(rows)
+
+
+def _read_region(raw, p) -> tuple[int, int]:
+    if (not isinstance(raw, list) or len(raw) != 2
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw)):
+        _fail(p, "expected [start, stop] integer pair")
+    return (raw[0], raw[1])
+
+
+def _read_arm(raw, p) -> tuple[ElementCfg, ...]:
+    if not isinstance(raw, list):
+        _fail(p, f"expected a list of elements, got {type(raw).__name__}")
+    return tuple(_ELEMENT.read(e, f"{p}[{i}]") for i, e in enumerate(raw))
+
+
+def _sources(kinds) -> _Codec:
+    """Sources of the given kinds. ``_SOURCE`` is looked up on use: mixture
+    components, declared before it, hold sources."""
+    return _Codec(lambda obj, p: _SOURCE.read(obj, p, kinds), lambda s: _SOURCE.write(s))
+
+
+def _distinct_labels(variants: tuple, p: str) -> tuple:
+    seen = set()
+    for i, v in enumerate(variants):
+        if v.label in seen:
+            _fail(f"{p}[{i}].label", f"duplicate label {v.label!r}")
+        seen.add(v.label)
+    return variants
+
+
+def _weights_sum_to_one(components: tuple, p: str) -> tuple:
+    total = sum(c.weight for c in components)
     if abs(total - 1.0) > 1e-6:
-        _fail(f"{path}.components", f"weights must sum to 1, got {total!r}")
-    return SourceCfg(kind, components=tuple(comps))
+        _fail(p, f"weights must sum to 1, got {total!r}")
+    return components
 
 
-_MEASUREMENT_KINDS = _DENSITY_MEASUREMENTS | {"schmidt", "sample", "metrics"}
+_POSITIVE = _Field(_number(positive=True))
+_OFFSET = _Field(_number(), 0.0)
+_FOCAL_LENGTH = _Field(_number(nonzero=True))
+_ARM = _Codec(_read_arm, lambda arm: [_ELEMENT.write(e) for e in arm])
+_FORMAT = _checked(_Codec(lambda v, p: v), lambda f: f in DEFAULT_FORMATS,
+                   lambda f: f"must be one of {list(DEFAULT_FORMATS)}, got {f!r}")
 
+_GRID = _Object({"n": _Field(_integer(minimum=2)), "dx": _POSITIVE, "center": _OFFSET},
+                make=lambda v: Grid(**v))
 
-def _parse_measurement(obj, path: str) -> MeasurementCfg:
-    d = _require_mapping(obj, path)
-    kind = _get_str(d, "kind", path, choices=_MEASUREMENT_KINDS)
-    if kind == "sample":
-        _no_unknown_keys(d, {"kind", "n", "seed"}, path)
-        return MeasurementCfg(kind, n=_get_int(d, "n", path, minimum=1),
-                              seed=_get_int(d, "seed", path))
-    if kind == "metrics":
-        _no_unknown_keys(d, {"kind", "of", "region", "label"}, path)
-        of = _get_str(d, "of", path,
-                      choices={"singles_1", "singles_2", "marginal_1", "marginal_2"})
-        region = None
-        if "region" in d:
-            raw = d["region"]
-            if (not isinstance(raw, list) or len(raw) != 2
-                    or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw)):
-                _fail(f"{path}.region", "expected [start, stop] integer pair")
-            region = (raw[0], raw[1])
-        label = _get_str(d, "label", path, required=False)
-        if label is not None and not _is_safe_name(label):
-            _fail(f"{path}.label", f"invalid label {label!r}")
-        return MeasurementCfg(kind, of=of, region=region, label=label)
-    _no_unknown_keys(d, {"kind"}, path)
-    return MeasurementCfg(kind)
+_PROFILE = _Object(_Kinds("profile", {
+    "gaussian": {"waist": _POSITIVE, "center": _OFFSET},
+    "gaussian_aperture": {"width": _POSITIVE, "center": _OFFSET},
+    "uniform": {},
+    "delta": {"position": _OFFSET},
+    "double_slit": {"separation": _POSITIVE, "width": _POSITIVE},
+    "step_edge": {"position": _OFFSET},
+    "array": {"values": _Field(_Codec(_read_values,
+                                      lambda vs: [_complex_out(v) for v in vs]))},
+}), make=lambda v: ProfileCfg(v.pop("kind"), v), unpack=lambda p: {"kind": p.kind, **p.params})
+_PROFILE_FIELD = _Field(_PROFILE)
 
+_ELEMENT = _Object(_Kinds("element", {
+    "identity": {},
+    "free_space": {"distance": _POSITIVE},
+    "thin_lens": {"focal_length": _FOCAL_LENGTH},
+    "mask": {"transmittance": _PROFILE_FIELD},
+    "fourier": {"focal_length": _FOCAL_LENGTH},
+    "custom": {"matrix": _Field(_Codec(
+        _read_matrix, lambda m: [[_complex_out(v) for v in row] for row in m]))},
+}), make=lambda v: ElementCfg(**v))
 
-def _is_safe_name(s: str) -> bool:
-    return bool(s) and all(c.isalnum() or c in "._-" for c in s) and not s.startswith(".")
+_COMPONENT = _Object({
+    "weight": _Field(_number(nonnegative=True)),
+    "source": _Field(_sources(_PURE_BIPHOTON_KINDS | {"localized"})),
+}, make=lambda v: MixtureComponentCfg(**v))
 
+_SOURCE = _Object(_Kinds("type", {
+    "single_pure": {"amplitude": _PROFILE_FIELD},
+    "single_mixed": _Kinds("model", {
+        "coherent": {"amplitude": _PROFILE_FIELD},
+        "incoherent": {"intensity": _PROFILE_FIELD},
+    }, attr="model"),
+    "factorizable": {"amplitude1": _Field(_PROFILE, attr="amplitude"),
+                     "amplitude2": _PROFILE_FIELD},
+    "entangled_delta": {"amplitude": _PROFILE_FIELD},
+    "spdc": {"pump": _PROFILE_FIELD, "pm_width": _POSITIVE},
+    "correlated": {"intensity": _PROFILE_FIELD},
+    "mixture": {"components": _Field(_then(_list(_COMPONENT), _weights_sum_to_one))},
+    "localized": {"intensity": _PROFILE_FIELD},  # mixture components only
+}), make=lambda v: SourceCfg(**v))
+_SCENARIO_SOURCE = _Field(_sources(set(_SOURCE.fields.tables) - {"localized"}), None)
 
-def _parse_scatterers(obj, path: str) -> ScatterersCfg:
-    d = _require_mapping(obj, path)
-    _no_unknown_keys(d, {"arm", "background", "items"}, path)
-    arm = _get_int(d, "arm", path)
-    if arm not in (1, 2):
-        _fail(f"{path}.arm", f"must be 1 or 2, got {arm}")
-    background = _get_str(d, "background", path, required=False, default="direct",
-                          choices={"dark", "direct"})
-    raw = d.get("items")
-    if not isinstance(raw, list) or not raw:
-        _fail(f"{path}.items", "expected a non-empty list")
-    items = []
-    for i, it in enumerate(raw):
-        ip = f"{path}.items[{i}]"
-        idict = _require_mapping(it, ip)
-        _no_unknown_keys(idict, {"plane", "position", "strength"}, ip)
-        plane = _get_int(idict, "plane", ip, minimum=0)
-        position = _get_number(idict, "position", ip)
-        if "strength" not in idict:
-            _fail(f"{ip}.strength", "missing required field")
-        strength = _as_complex(idict["strength"], f"{ip}.strength")
-        if not np.isfinite(strength):
-            _fail(f"{ip}.strength", "must be finite")
-        items.append(ScattererItemCfg(plane, position, strength))
-    return ScatterersCfg(arm, background, tuple(items))
+_MEASUREMENT = _Object(_Kinds("kind", {
+    **{kind: {} for kind in sorted(_DENSITY_MEASUREMENTS | {"schmidt"})},
+    "sample": {"n": _Field(_integer(minimum=1)), "seed": _Field(_integer(minimum=0))},
+    "metrics": {
+        "of": _Field(_string({"singles_1", "singles_2", "marginal_1", "marginal_2"})),
+        "region": _Field(_Codec(_read_region, list), None),
+        "label": _Field(_safe_name("label"), None),
+    },
+}), make=lambda v: MeasurementCfg(**v))
 
+_SCATTERER_ITEM = _Object({
+    "plane": _Field(_integer(minimum=0)),
+    "position": _Field(_number()),
+    "strength": _Field(_checked(_Codec(_as_complex, _complex_out), np.isfinite,
+                                lambda z: "must be finite")),
+}, make=lambda v: ScattererItemCfg(**v))
 
-def _parse_outputs(obj, path: str) -> OutputsCfg:
-    d = _require_mapping(obj, path)
-    _no_unknown_keys(d, {"directory", "formats"}, path)
-    directory = _get_str(d, "directory", path, required=False)
-    formats = DEFAULT_FORMATS
-    if "formats" in d:
-        raw = d["formats"]
-        if not isinstance(raw, list) or not raw:
-            _fail(f"{path}.formats", "expected a non-empty list")
-        for i, f in enumerate(raw):
-            if f not in DEFAULT_FORMATS:
-                _fail(f"{path}.formats[{i}]", f"must be one of {list(DEFAULT_FORMATS)}, got {f!r}")
-        if len(set(raw)) != len(raw):
-            _fail(f"{path}.formats", "duplicate formats")
-        formats = tuple(raw)
-    return OutputsCfg(directory, formats)
+_SCATTERERS = _Object({
+    "arm": _Field(_checked(_integer(), lambda a: a in (1, 2),
+                           lambda a: f"must be 1 or 2, got {a}")),
+    "background": _Field(_string({"dark", "direct"}), "direct"),
+    "items": _Field(_list(_SCATTERER_ITEM)),
+}, make=lambda v: ScatterersCfg(**v))
+
+_VARIANT = _Object({
+    "label": _Field(_safe_name("label")),
+    "source": _SCENARIO_SOURCE,
+    "arm1": _Field(_ARM, None),
+    "arm2": _Field(_ARM, None),
+}, make=lambda v: VariantCfg(**v))
+
+_OUTPUTS = _Object({
+    "directory": _Field(_string(), None),
+    "formats": _Field(_checked(_list(_FORMAT), lambda fs: len(set(fs)) == len(fs),
+                               lambda fs: "duplicate formats"), DEFAULT_FORMATS),
+}, make=lambda v: OutputsCfg(**v))
+
+_DOCUMENT = _Object({
+    "schema_version": _Field(_checked(
+        _integer(), lambda v: v == SCHEMA_VERSION,
+        lambda v: f"unsupported version {v}, expected {SCHEMA_VERSION}")),
+    "name": _Field(_safe_name("name"), None),
+    "description": _Field(_string(), None),
+    "grid": _Field(_GRID),
+    "wavelength": _POSITIVE,
+    "source": _SCENARIO_SOURCE,
+    "arm1": _Field(_ARM, None),
+    "arm2": _Field(_ARM, None),
+    "scatterers": _Field(_SCATTERERS, None),
+    "variants": _Field(_then(_list(_VARIANT), _distinct_labels), ()),
+    "measurements": _Field(_list(_MEASUREMENT)),
+    "outputs": _Field(_OUTPUTS, None),
+}, make=lambda v: Scenario(**{k: x for k, x in v.items() if k != "schema_version"}),
+    unpack=lambda s: {**vars(s), "schema_version": SCHEMA_VERSION})
 
 
 def scenario_from_document(doc) -> Scenario:
     """Validate a parsed JSON document and build a Scenario."""
-    d = _require_mapping(doc, "")
-    allowed = {"schema_version", "name", "description", "grid", "wavelength", "source",
-               "arm1", "arm2", "scatterers", "variants", "measurements", "outputs"}
-    _no_unknown_keys(d, allowed, "")
-    version = _get_int(d, "schema_version", "")
-    if version != SCHEMA_VERSION:
-        _fail("schema_version", f"unsupported version {version}, expected {SCHEMA_VERSION}")
-
-    name = _get_str(d, "name", "", required=False)
-    if name is not None and not _is_safe_name(name):
-        _fail("name", f"invalid name {name!r}")
-    description = _get_str(d, "description", "", required=False)
-
-    if "grid" not in d:
-        _fail("grid", "missing required field")
-    gd = _require_mapping(d["grid"], "grid")
-    _no_unknown_keys(gd, {"n", "dx", "center"}, "grid")
-    n = _get_int(gd, "n", "grid", minimum=2)
-    dx = _get_number(gd, "dx", "grid", positive=True)
-    center = _get_number(gd, "center", "grid", required=False, default=0.0)
-    grid = Grid(n, dx, center)
-
-    wavelength = _get_number(d, "wavelength", "", positive=True)
-
-    source = _parse_source(d["source"], "source") if "source" in d else None
-    arm1 = _parse_arm(d["arm1"], "arm1") if "arm1" in d else None
-    arm2 = _parse_arm(d["arm2"], "arm2") if "arm2" in d else None
-    scatterers = _parse_scatterers(d["scatterers"], "scatterers") if "scatterers" in d else None
-
-    variants: list[VariantCfg] = []
-    if "variants" in d:
-        raw = d["variants"]
-        if not isinstance(raw, list) or not raw:
-            _fail("variants", "expected a non-empty list")
-        labels = set()
-        for i, v in enumerate(raw):
-            vp = f"variants[{i}]"
-            vd = _require_mapping(v, vp)
-            _no_unknown_keys(vd, {"label", "source", "arm1", "arm2"}, vp)
-            label = _get_str(vd, "label", vp)
-            if not _is_safe_name(label):
-                _fail(f"{vp}.label", f"invalid label {label!r}")
-            if label in labels:
-                _fail(f"{vp}.label", f"duplicate label {label!r}")
-            labels.add(label)
-            variants.append(VariantCfg(
-                label,
-                source=_parse_source(vd["source"], f"{vp}.source") if "source" in vd else None,
-                arm1=_parse_arm(vd["arm1"], f"{vp}.arm1") if "arm1" in vd else None,
-                arm2=_parse_arm(vd["arm2"], f"{vp}.arm2") if "arm2" in vd else None,
-            ))
-
-    if "measurements" not in d:
-        _fail("measurements", "missing required field")
-    mraw = d["measurements"]
-    if not isinstance(mraw, list) or not mraw:
-        _fail("measurements", "expected a non-empty list")
-    measurements = tuple(_parse_measurement(m, f"measurements[{i}]") for i, m in enumerate(mraw))
-
-    outputs = _parse_outputs(d["outputs"], "outputs") if "outputs" in d else None
-
-    s = Scenario(grid=grid, wavelength=wavelength, measurements=measurements, source=source,
-                 arm1=arm1, arm2=arm2, scatterers=scatterers, variants=tuple(variants),
-                 outputs=outputs, name=name, description=description)
+    s = _DOCUMENT.read(doc, "")
     _validate_cross_fields(s)
     return s
 
@@ -578,9 +540,7 @@ def _validate_cross_fields(s: Scenario) -> None:
 
     for vi, v in enumerate(s.effective_variants()):
         where = f"variants[{vi}]" if s.variants else ""
-        source = v.source if v.source is not None else s.source
-        arm1 = v.arm1 if v.arm1 is not None else s.arm1
-        arm2 = v.arm2 if v.arm2 is not None else s.arm2
+        source, arm1, arm2 = s.resolve(v)
         if source is None:
             _fail(f"{where}.source" if where else "source", "missing required field")
         if arm1 is None:
@@ -620,110 +580,9 @@ def parse_scenario(text: str) -> Scenario:
     return scenario_from_document(doc)
 
 
-# ---------------------------------------------------------------------------
-# Serialization (inverse of parsing; round-trips exactly)
-
-
-def _complex_out(z: complex):
-    return z.real if z.imag == 0 else [z.real, z.imag]
-
-
-def _profile_doc(p: ProfileCfg) -> dict:
-    if p.kind == "array":
-        return {"profile": "array", "values": [_complex_out(v) for v in p.params["values"]]}
-    return {"profile": p.kind, **p.params}
-
-
-def _element_doc(e: ElementCfg) -> dict:
-    d: dict = {"element": e.kind}
-    if e.distance is not None:
-        d["distance"] = e.distance
-    if e.focal_length is not None:
-        d["focal_length"] = e.focal_length
-    if e.transmittance is not None:
-        d["transmittance"] = _profile_doc(e.transmittance)
-    if e.matrix is not None:
-        d["matrix"] = [[_complex_out(v) for v in row] for row in e.matrix]
-    return d
-
-
-def _source_doc(s: SourceCfg) -> dict:
-    d: dict = {"type": s.kind}
-    if s.kind == "factorizable":
-        d["amplitude1"] = _profile_doc(s.amplitude)
-        d["amplitude2"] = _profile_doc(s.amplitude2)
-        return d
-    if s.model is not None:
-        d["model"] = s.model
-    for key in ("amplitude", "intensity", "pump"):
-        v = getattr(s, key)
-        if v is not None:
-            d[key] = _profile_doc(v)
-    if s.pm_width is not None:
-        d["pm_width"] = s.pm_width
-    if s.components is not None:
-        d["components"] = [{"weight": c.weight, "source": _source_doc(c.source)}
-                           for c in s.components]
-    return d
-
-
-def _measurement_doc(m: MeasurementCfg) -> dict:
-    d: dict = {"kind": m.kind}
-    if m.n is not None:
-        d["n"] = m.n
-    if m.seed is not None:
-        d["seed"] = m.seed
-    if m.of is not None:
-        d["of"] = m.of
-    if m.region is not None:
-        d["region"] = list(m.region)
-    if m.label is not None:
-        d["label"] = m.label
-    return d
-
-
 def scenario_document(s: Scenario) -> dict:
-    d: dict = {"schema_version": SCHEMA_VERSION}
-    if s.name is not None:
-        d["name"] = s.name
-    if s.description is not None:
-        d["description"] = s.description
-    d["grid"] = {"n": s.grid.n, "dx": s.grid.dx, "center": s.grid.center}
-    d["wavelength"] = s.wavelength
-    if s.source is not None:
-        d["source"] = _source_doc(s.source)
-    if s.arm1 is not None:
-        d["arm1"] = [_element_doc(e) for e in s.arm1]
-    if s.arm2 is not None:
-        d["arm2"] = [_element_doc(e) for e in s.arm2]
-    if s.scatterers is not None:
-        d["scatterers"] = {
-            "arm": s.scatterers.arm,
-            "background": s.scatterers.background,
-            "items": [
-                {"plane": it.plane, "position": it.position, "strength": _complex_out(it.strength)}
-                for it in s.scatterers.items
-            ],
-        }
-    if s.variants:
-        d["variants"] = []
-        for v in s.variants:
-            vd: dict = {"label": v.label}
-            if v.source is not None:
-                vd["source"] = _source_doc(v.source)
-            if v.arm1 is not None:
-                vd["arm1"] = [_element_doc(e) for e in v.arm1]
-            if v.arm2 is not None:
-                vd["arm2"] = [_element_doc(e) for e in v.arm2]
-            d["variants"].append(vd)
-    d["measurements"] = [_measurement_doc(m) for m in s.measurements]
-    if s.outputs is not None:
-        od: dict = {}
-        if s.outputs.directory is not None:
-            od["directory"] = s.outputs.directory
-        od["formats"] = list(s.outputs.formats)
-        d["outputs"] = od
-    return d
+    """The JSON document of ``s``; parsing it gives back an equal Scenario."""
+    return _DOCUMENT.write(s)
 
 
 def serialize_scenario(s: Scenario) -> str:
@@ -732,6 +591,18 @@ def serialize_scenario(s: Scenario) -> str:
 
 # ---------------------------------------------------------------------------
 # Building runtime objects from configuration
+
+
+def _resolve_profile(cfg: ProfileCfg, grid: Grid) -> np.ndarray:
+    if cfg.kind == "array":
+        values = np.array(cfg.params["values"], dtype=complex)
+        if values.shape != (grid.n,):
+            raise ValidationError(
+                f"array profile length {values.shape[0]} does not match grid n={grid.n}"
+            )
+        return values
+    fn = getattr(profiles, cfg.kind)
+    return fn(grid, **cfg.params)
 
 
 def _build_element(e: ElementCfg, grid: Grid, wavelength: float):
