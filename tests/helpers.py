@@ -75,3 +75,36 @@ def double_gaussian_schmidt(b: float, c: float) -> tuple[float, float]:
     k = (c / b + b / c) / 2
     s = -math.log(1 - mu2) - mu2 * math.log(mu2) / (1 - mu2)
     return k, s
+
+
+# ---------------------------------------------------------------------------
+# Demo densities for the frozen tolerance reference (tests/data).
+
+REFERENCE_STRIDE = 8  # joints are stored at every 8th row and column
+
+
+def demo_densities(name: str) -> tuple[dict[str, float], dict[str, np.ndarray]]:
+    """Summary metrics of one demo run, and its densities keyed
+    ``variant::kind``: singles and marginals in full, joints strided."""
+    from biphoton import demo_catalog, run_scenario, scenarios
+
+    captured = []
+    original = scenarios._compute_variant
+
+    def capture(*args):
+        captured.append(original(*args))
+        return captured[-1]
+
+    scenarios._compute_variant = capture
+    try:
+        summary = run_scenario(demo_catalog()[name])
+    finally:
+        scenarios._compute_variant = original
+    arrays = {}
+    for r in captured:
+        for kind, item in r.items.items():
+            if kind == "joint":
+                arrays[f"{r.label}::{kind}"] = item.values[::REFERENCE_STRIDE, ::REFERENCE_STRIDE]
+            elif kind.startswith(("singles_", "marginal_")):
+                arrays[f"{r.label}::{kind}"] = item.values
+    return summary.metrics, arrays
