@@ -12,9 +12,15 @@ with the trace over the other photon taken last, so that matrix is never
 formed. ``sources.reduced_coherence`` stays the reference the tests compare
 against.
 
+Pair densities reach a kernel only through ``Kernel.dot`` (H A),
+``Kernel.dot_t`` (A H^T) and ``Kernel.abs2`` (|H|^2), so a factored Fourier
+arm is applied by FFT and a dense one by matrix products (see ``optics``).
+The partially coherent engine, used for mixed single photons and the
+entangled closed form, reads ``Kernel.matrix``.
+
 A co-located pair amplitude (square, every nonzero entry on the diagonal:
 the ideal entangled source, each ``localized`` component, an SPDC state
-whose off-diagonal entries underflow to 0) is applied to a kernel by
+whose off-diagonal entries underflow to 0) is applied to a dense kernel by
 scaling its columns, H diag(d) = H * d. Each sum of that product has one
 nonzero term, so the two agree bit for bit for a real diagonal and to one
 rounding for a complex one (the BLAS product fuses multiply-adds). Its
@@ -40,6 +46,7 @@ import numpy as np
 from .errors import PhysicsError, ValidationError
 from .grid import Grid
 from .optics import Kernel, g_kernel
+from .optics import diagonal_entries as _diagonal
 from .sources import (
     BiphotonMixture,
     BiphotonPure,
@@ -157,24 +164,10 @@ def single_partially_coherent(s: SinglePhotonMixed, k: Kernel) -> Density1D:
 # Pure biphoton densities
 
 
-def _diagonal(a: np.ndarray) -> np.ndarray | None:
-    """The diagonal of a square matrix with no nonzero entry off it, else None."""
-    if a.shape[0] != a.shape[1]:
-        return None
-    d = np.diagonal(a)
-    return d if np.count_nonzero(a) == np.count_nonzero(d) else None
-
-
-def _apply(h: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """h @ a, by column scaling when a is diagonal."""
-    d = _diagonal(a)
-    return h @ a if d is None else h * d[None, :]
-
-
 def _joint_raw(s: BiphotonPure, k1: Kernel, k2: Kernel) -> np.ndarray:
     if s.grid1 != k1.grid_in or s.grid2 != k2.grid_in:
         raise ValidationError("biphoton_joint: source grids must match kernel input grids")
-    a = _apply(k1.matrix, s.amp) @ k2.matrix.T * (s.grid1.dx * s.grid2.dx)
+    a = k2.dot_t(k1.dot(s.amp)) * (s.grid1.dx * s.grid2.dx)
     return np.abs(a) ** 2
 
 
@@ -197,13 +190,14 @@ def _singles_raw(s: BiphotonPure, k: Kernel, arm: int) -> np.ndarray:
         raise ValidationError(f"arm must be 1 or 2, got {arm!r}")
     if grid_in != k.grid_in:
         raise ValidationError("biphoton singles: source grid must match kernel input grid")
-    h = k.matrix
     d = _diagonal(a)
     if d is None:
-        t = h @ a
+        t = k.dot(a)
         vals = (t.real**2 + t.imag**2).sum(axis=1)
     else:
-        vals = (h.real**2 + h.imag**2) @ (d.real**2 + d.imag**2)
+        # |H|^2 |d|^2; a dense H squares its entries as it always has
+        w = k.abs2() if k.factored else k.matrix.real**2 + k.matrix.imag**2
+        vals = w @ (d.real**2 + d.imag**2)
     return _clip_nonnegative(vals * (dx_other * grid_in.dx**2), "singles density")
 
 
@@ -255,9 +249,7 @@ def correlated_joint(c: CorrelatedPairSource, k1: Kernel, k2: Kernel) -> Density
     """p(x1, x2) ~ sum_x gamma(x) |h1(x1, x)|^2 |h2(x2, x)|^2 dx: intensities
     add per emission point, no amplitude cross terms."""
     _check_correlated(c, k1, k2)
-    w1 = np.abs(k1.matrix) ** 2
-    w2 = np.abs(k2.matrix) ** 2
-    vals = (w1 * (c.gamma * c.grid.dx)[None, :]) @ w2.T
+    vals = (k1.abs2() * (c.gamma * c.grid.dx)[None, :]) @ k2.abs2().T
     return _norm_2d(vals, k1.grid_out, k2.grid_out, "joint density")
 
 
@@ -266,7 +258,7 @@ def correlated_singles(c: CorrelatedPairSource, k: Kernel, arm: int = 1) -> Dens
     if arm not in (1, 2):
         raise ValidationError(f"arm must be 1 or 2, got {arm!r}")
     _check_correlated(c, k)
-    vals = (np.abs(k.matrix) ** 2) @ (c.gamma * c.grid.dx)
+    vals = k.abs2() @ (c.gamma * c.grid.dx)
     return _norm_1d(vals, k.grid_out, "singles density")
 
 
@@ -283,13 +275,13 @@ def correlated_marginal(
     and the marginal equals the singles.
     """
     _check_correlated(c, k_obs, k_other)
-    throughput = (np.abs(k_other.matrix) ** 2).sum(axis=0) * k_other.grid_out.dx
+    throughput = k_other.abs2().sum(axis=0) * k_other.grid_out.dx
     gamma_bar = c.gamma * throughput
     if not gamma_bar.sum() > 0:
         raise PhysicsError(
             "gating arm is fully absorbing for this source: zero coincidence rate"
         )
-    vals = (np.abs(k_obs.matrix) ** 2) @ (gamma_bar * c.grid.dx)
+    vals = k_obs.abs2() @ (gamma_bar * c.grid.dx)
     return _norm_1d(vals, k_obs.grid_out, "marginal")
 
 
@@ -297,7 +289,8 @@ def correlated_marginal(
 # Mixtures: convex combinations of unnormalized pure-state densities.
 # Each component's |A|^2 carries its exact quadrature factors so that all
 # components share one proportionality convention; a single normalization
-# is applied at the end.
+# is applied at the end. Components are read one at a time, so a localized
+# mixture holds one co-located amplitude at a time.
 
 
 def mixture_joint(m: BiphotonMixture, k1: Kernel, k2: Kernel) -> Density2D:

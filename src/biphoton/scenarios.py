@@ -518,7 +518,50 @@ def scenario_from_document(doc) -> Scenario:
     return s
 
 
+def _table(obj: _Object, cfg) -> dict:
+    """The field table ``cfg`` was read with."""
+    table, values = obj.fields, obj.unpack(cfg)
+    while isinstance(table, _Kinds):
+        table = table.tables[values[table.attr]]
+    return table
+
+
+def _check_array_length(profile: ProfileCfg | None, path: str, n: int) -> None:
+    if profile is not None and profile.kind == "array":
+        length = len(profile.params["values"])
+        if length != n:
+            _fail(f"{path}.values", f"array profile length {length} does not match grid n={n}")
+
+
+def _check_source_sizes(src: SourceCfg | None, path: str, n: int) -> None:
+    if src is None:
+        return
+    for key, f in _table(_SOURCE, src).items():
+        if f.codec is _PROFILE:
+            _check_array_length(getattr(src, f.attr or key), f"{path}.{key}", n)
+    for i, c in enumerate(src.components or ()):
+        _check_source_sizes(c.source, f"{path}.components[{i}].source", n)
+
+
+def _check_arm_sizes(arm: tuple[ElementCfg, ...] | None, path: str, n: int) -> None:
+    for i, e in enumerate(arm or ()):
+        if e.kind == "mask":
+            _check_array_length(e.transmittance, f"{path}[{i}].transmittance", n)
+        elif e.kind == "custom" and (len(e.matrix), len(e.matrix[0])) != (n, n):
+            _fail(f"{path}[{i}].matrix", f"custom matrix shape ({len(e.matrix)}, "
+                  f"{len(e.matrix[0])}) does not match grid ({n}, {n})")
+
+
 def _validate_cross_fields(s: Scenario) -> None:
+    n = s.grid.n
+    _check_source_sizes(s.source, "source", n)
+    _check_arm_sizes(s.arm1, "arm1", n)
+    _check_arm_sizes(s.arm2, "arm2", n)
+    for vi, v in enumerate(s.variants):
+        _check_source_sizes(v.source, f"variants[{vi}].source", n)
+        _check_arm_sizes(v.arm1, f"variants[{vi}].arm1", n)
+        _check_arm_sizes(v.arm2, f"variants[{vi}].arm2", n)
+
     kinds = [m.kind for m in s.measurements]
     for kind in _DENSITY_MEASUREMENTS | {"schmidt", "sample"}:
         if kinds.count(kind) > 1:
@@ -595,12 +638,7 @@ def serialize_scenario(s: Scenario) -> str:
 
 def _resolve_profile(cfg: ProfileCfg, grid: Grid) -> np.ndarray:
     if cfg.kind == "array":
-        values = np.array(cfg.params["values"], dtype=complex)
-        if values.shape != (grid.n,):
-            raise ValidationError(
-                f"array profile length {values.shape[0]} does not match grid n={grid.n}"
-            )
-        return values
+        return np.array(cfg.params["values"], dtype=complex)
     fn = getattr(profiles, cfg.kind)
     return fn(grid, **cfg.params)
 
@@ -617,12 +655,7 @@ def _build_element(e: ElementCfg, grid: Grid, wavelength: float):
     if e.kind == "mask":
         return Mask(_resolve_profile(e.transmittance, grid))
     if e.kind == "custom":
-        m = np.array(e.matrix, dtype=complex)
-        if m.shape != (grid.n, grid.n):
-            raise ValidationError(
-                f"custom matrix shape {m.shape} does not match grid ({grid.n}, {grid.n})"
-            )
-        return Custom(m)
+        return Custom(np.array(e.matrix, dtype=complex))
     raise ValidationError(f"unknown element kind {e.kind!r}")
 
 
@@ -676,17 +709,20 @@ def _build_source(cfg: SourceCfg, grid: Grid):
         gamma = np.abs(_resolve_profile(cfg.intensity, grid))
         return sources.correlated_from_intensity(gamma, grid)
     if cfg.kind == "mixture":
-        comps: list[tuple[float, sources.BiphotonPure]] = []
+        weights, states = [], []
         for c in cfg.components:
             if c.source.kind == "localized":
                 gamma = np.abs(_resolve_profile(c.source.intensity, grid))
                 inner = sources.localized_pair_mixture(
-                    sources.correlated_from_intensity(gamma, grid))
-                comps.extend((c.weight * w, s) for w, s in inner.components)
+                    sources.correlated_from_intensity(gamma, grid)).components
+                weights += [c.weight * w for w in inner.weights]
+                states += inner.states
             else:
-                comps.append((c.weight, _build_source(c.source, grid)))
-        total = sum(w for w, _ in comps)
-        return sources.BiphotonMixture(tuple((w / total, s) for w, s in comps))
+                weights.append(c.weight)
+                states.append(_build_source(c.source, grid))
+        total = sum(weights)
+        return sources.BiphotonMixture(
+            sources.MixtureComponents([w / total for w in weights], states))
     raise ValidationError(f"unknown source kind {cfg.kind!r}")
 
 

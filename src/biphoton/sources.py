@@ -8,12 +8,14 @@ regularization that keeps every normalization integral exact.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .grid import Grid
+from .optics import diagonal_entries
 
 NORM_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -111,33 +113,81 @@ class BiphotonPure:
 
 
 @dataclass(frozen=True)
-class BiphotonMixture:
-    """Finite convex mixture of pure biphoton states on common grids."""
+class ColocatedPair:
+    """Recipe for the pure pair state emitted at lattice point ``index``,
+    amp = e_i e_i^T / dx: ``build()`` allocates its n x n amplitude."""
 
-    components: tuple[tuple[float, BiphotonPure], ...]
+    grid: Grid
+    index: int
+
+    @property
+    def grid1(self) -> Grid:
+        return self.grid
+
+    @property
+    def grid2(self) -> Grid:
+        return self.grid
+
+    def build(self) -> BiphotonPure:
+        g = self.grid
+        amp = np.zeros((g.n, g.n), dtype=complex)
+        amp[self.index, self.index] = 1.0 / g.dx
+        return BiphotonPure(g, g, amp)
+
+
+class MixtureComponents(Sequence):
+    """The (weight, state) pairs of a mixture, in order. A state given as a
+    ``ColocatedPair`` is built each time it is read and not kept, so a loop
+    over the components holds one such amplitude at a time."""
+
+    def __init__(self, weights, states):
+        self.weights = tuple(float(w) for w in weights)
+        self.states = tuple(states)
+        if len(self.weights) != len(self.states):
+            raise ValidationError("mixture needs one weight per component")
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        s = self.states[i]
+        return self.weights[i], (s.build() if isinstance(s, ColocatedPair) else s)
+
+
+@dataclass(frozen=True)
+class BiphotonMixture:
+    """Finite convex mixture of pure biphoton states on common grids, from
+    (weight, state) pairs or a ``MixtureComponents``."""
+
+    components: MixtureComponents
 
     def __post_init__(self):
-        comps = tuple((float(w), s) for w, s in self.components)
+        comps = self.components
+        if not isinstance(comps, MixtureComponents):
+            pairs = tuple(comps)
+            comps = MixtureComponents([w for w, _ in pairs], [s for _, s in pairs])
         if not comps:
             raise ValidationError("mixture needs at least one component")
-        if not all(w >= 0 for w, _ in comps):
+        if not all(w >= 0 for w in comps.weights):
             raise ValidationError("mixture weights must be non-negative and finite")
-        total = sum(w for w, _ in comps)
+        total = sum(comps.weights)
         if not abs(total - 1.0) <= NORM_TOL:
             raise ValidationError(f"mixture weights must sum to 1, got {total!r}")
-        g1, g2 = comps[0][1].grid1, comps[0][1].grid2
-        for _, s in comps[1:]:
+        g1, g2 = comps.states[0].grid1, comps.states[0].grid2
+        for s in comps.states[1:]:
             if s.grid1 != g1 or s.grid2 != g2:
                 raise ValidationError("mixture components must share grids")
         object.__setattr__(self, "components", comps)
 
     @property
     def grid1(self) -> Grid:
-        return self.components[0][1].grid1
+        return self.components.states[0].grid1
 
     @property
     def grid2(self) -> Grid:
-        return self.components[0][1].grid2
+        return self.components.states[0].grid2
 
 
 @dataclass(frozen=True)
@@ -268,19 +318,26 @@ def schmidt_spectrum(s: BiphotonPure) -> SchmidtSpectrum:
     state is from factorizable (K = 1) toward maximally entangled.
 
     The Schmidt coefficients are the singular values of a = amp*sqrt(dx1*dx2).
-    When a is square and exactly equal to its conjugate transpose (an SPDC
-    state from a real pump, or a real-phi entangled delta), they are the
-    absolute eigenvalues from eigvalsh, computed in float64 when a has no
-    imaginary part. Equality is tested exactly, not to a tolerance, so a state
+    A co-located amplitude (square, nonzero only on its diagonal: an
+    entangled delta, real or complex phi) has them as |diag(a)|, sorted, with
+    no decomposition. When a is square and exactly equal to its conjugate
+    transpose (an SPDC state from a real pump), they are the absolute
+    eigenvalues from eigvalsh, computed in float64 when a has no imaginary
+    part. Equality is tested exactly, not to a tolerance, so a state
     Hermitian only up to round-off, a complex-phase pump (complex symmetric)
     and any other amplitude take the general SVD.
     """
-    a = s.amp * np.sqrt(s.grid1.dx * s.grid2.dx)
-    if a.shape[0] == a.shape[1] and np.array_equal(a, a.conj().T):
-        w = np.linalg.eigvalsh(a.real if not np.any(a.imag) else a)
-        sigma = np.sort(np.abs(w))[::-1]
+    scale = np.sqrt(s.grid1.dx * s.grid2.dx)
+    d = diagonal_entries(s.amp)
+    if d is not None:
+        sigma = np.sort(np.abs(d) * scale)[::-1]
     else:
-        sigma = np.linalg.svd(a, compute_uv=False)
+        a = s.amp * scale
+        if a.shape[0] == a.shape[1] and np.array_equal(a, a.conj().T):
+            w = np.linalg.eigvalsh(a.real if not np.any(a.imag) else a)
+            sigma = np.sort(np.abs(w))[::-1]
+        else:
+            sigma = np.linalg.svd(a, compute_uv=False)
     p = sigma**2
     p = p / p.sum()  # guard round-off before the log
     nz = p[p > 1e-300]
@@ -305,11 +362,9 @@ def correlated_from_intensity(gamma, grid: Grid) -> CorrelatedPairSource:
 def localized_pair_mixture(c: CorrelatedPairSource) -> BiphotonMixture:
     """The correlated source written out as a convex mixture of co-located
     pair emissions: weight gamma(x_i) dx for the pure pair state with
-    amp = e_i e_i^T / dx at each lattice point with gamma > 0."""
+    amp = e_i e_i^T / dx at each lattice point with gamma > 0. Each state is
+    built only when the mixture's components are read."""
     g = c.grid
-    comps: list[tuple[float, BiphotonPure]] = []
-    for i in np.flatnonzero(c.gamma > 0):
-        amp = np.zeros((g.n, g.n), dtype=complex)
-        amp[i, i] = 1.0 / g.dx
-        comps.append((float(c.gamma[i] * g.dx), BiphotonPure(g, g, amp)))
-    return BiphotonMixture(tuple(comps))
+    points = np.flatnonzero(c.gamma > 0)
+    return BiphotonMixture(MixtureComponents(
+        [float(c.gamma[i] * g.dx) for i in points], [ColocatedPair(g, int(i)) for i in points]))

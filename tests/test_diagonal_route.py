@@ -28,7 +28,12 @@ from biphoton import (
     spdc_amplitude,
 )
 from biphoton.cli import main as cli_main
-from biphoton.sources import BiphotonMixture, BiphotonPure, correlated_from_intensity
+from biphoton.sources import (
+    BiphotonMixture,
+    BiphotonPure,
+    ColocatedPair,
+    correlated_from_intensity,
+)
 
 SEED = 20261018
 TOL = 1e-12
@@ -122,6 +127,22 @@ def test_dense_route_for_non_diagonal_amplitudes(case):
     assert np.array_equal(biphoton_joint(s, k1, k2).values, ref)
     for arm, k in ((1, k1), (2, k2)):
         assert rel_linf(biphoton_singles(s, k, arm).values, dense_singles(s, k, arm)) <= TOL
+
+
+def test_localized_components_are_built_when_read():
+    g = make_grid(16, 1e-5, 0.0)
+    mix = localized_pair_mixture(correlated_from_intensity(np.linspace(0.0, 1.0, g.n), g))
+    assert len(mix.components) == g.n - 1
+    assert all(isinstance(s, ColocatedPair) for s in mix.components.states)
+    w, s = mix.components[2]
+    assert w == mix.components.weights[2] and s is not mix.components[2][1]
+    assert np.array_equal(s.amp, np.diag(np.eye(g.n)[3]) / g.dx)
+    held = BiphotonMixture(tuple(mix.components))  # every amplitude built and kept
+    rng = np.random.default_rng(SEED)
+    k1, k2 = random_kernel(rng, g), random_kernel(rng, g)
+    assert np.array_equal(mixture_joint(mix, k1, k2).values, mixture_joint(held, k1, k2).values)
+    assert np.array_equal(mixture_singles(mix, k2, 2).values,
+                          mixture_singles(held, k2, 2).values)
 
 
 # ---------------------------------------------------------------------------

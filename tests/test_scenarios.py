@@ -185,6 +185,34 @@ def test_cli_validate_and_exit_codes(tmp_path, capsys):
     assert cli_main(["run", "no-such-demo-or-file", "--out", str(tmp_path)]) == 2
 
 
+_SHORT = {"profile": "array", "values": [1, 2, 3]}
+_GAUSS = {"profile": "gaussian", "waist": 2e-5}
+
+
+@pytest.mark.parametrize("edit,field", [
+    ({"source": {"type": "entangled_delta", "amplitude": _SHORT}}, "source.amplitude.values"),
+    ({"source": {"type": "factorizable", "amplitude1": _SHORT, "amplitude2": _GAUSS}},
+     "source.amplitude1.values"),
+    ({"arm1": [{"element": "custom", "matrix": [[1, 0], [0, 1]]}]}, "arm1[0].matrix"),
+    ({"arm2": [{"element": "identity"}, {"element": "mask", "transmittance": _SHORT}]},
+     "arm2[1].transmittance.values"),
+    ({"variants": [{"label": "a"}, {"label": "b", "source": {
+        "type": "mixture", "components": [
+            {"weight": 0.5, "source": {"type": "entangled_delta", "amplitude": _GAUSS}},
+            {"weight": 0.5, "source": {"type": "localized", "intensity": _SHORT}}]}}]},
+     "variants[1].source.components[1].source.intensity.values"),
+    ({"variants": [{"label": "a", "arm1": [{"element": "custom", "matrix": [[1.0] * 9] * 8}]}]},
+     "variants[0].arm1[0].matrix"),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_cli_validate_names_grid_sized_field(tmp_path, capsys, edit, field):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**minimal_document(), **edit}))
+    assert cli_main(["validate", str(path)]) == 2
+    assert f"validation error: {field}: " in capsys.readouterr().err
+    assert cli_main(["run", str(path)]) == 2
+    assert f"{field}: " in capsys.readouterr().err
+
+
 def test_cli_run_demo(tmp_path, capsys):
     rc = cli_main(["run", "ghost-imaging", "--out", str(tmp_path / "out"),
                    "--format", "csv,json"])

@@ -101,7 +101,7 @@ def _states():
         "spdc-complex": (spdc_amplitude(SpdcParams(_pump(g, True), 2e-5), g), True),
         "hermitian-complex": (_random_hermitian(rng, g), False),
         "delta-real": (entangled_delta(real_phi), False),
-        "delta-complex": (entangled_delta(phi), True),
+        "delta-complex": (entangled_delta(phi), False),
         "factorizable": (factorizable(random_pure(rng, g), random_pure(rng, g)), True),
     }
 
@@ -174,3 +174,20 @@ def test_spdc_schmidt_saturates_below_dx():
 def test_spdc_params_reject_non_finite(pump, width):
     with pytest.raises(ValidationError):
         SpdcParams(np.array(pump), width)
+
+
+@pytest.mark.parametrize("name", ["delta-real", "delta-complex"])
+def test_schmidt_of_colocated_amplitude_takes_no_decomposition(name, monkeypatch):
+    _, states = _states()
+    s = states[name][0]
+    sigma, entropy, k = svd_schmidt(s)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decomposition called for a diagonal amplitude")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    sp = schmidt_spectrum(s)
+    assert np.max(np.abs(sp.singular_values - sigma)) <= 1e-12 * sigma[0]
+    assert sp.participation == pytest.approx(k, rel=1e-12)
+    assert sp.entropy == pytest.approx(entropy, rel=1e-12, abs=1e-14)
