@@ -46,6 +46,7 @@ about 28 ulp of 1 at n = 1024. Outside the bound a Fourier chain stays dense.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -331,23 +332,22 @@ def chain(elements, grid: Grid) -> Kernel:
     chains and matched-sampling Fourier chains come back factored.
     """
     elements = list(elements)
+    build = functools.partial(_chain_matrix, elements, grid)
     dense = [i for i, e in enumerate(elements) if not isinstance(e, _DIAGONAL)]
+    lead = np.ones(grid.n, dtype=complex)  # thin elements before the first dense one
+    for e in elements[:dense[0] if dense else None]:
+        lead *= _thin_transmission(e, grid)
     if not dense:
-        lead = np.ones(grid.n, dtype=complex)
-        for e in elements:
-            lead *= _thin_transmission(e, grid)
-        return Kernel._factored(grid, lead / grid.dx, None,
-                                lambda: _chain_matrix(elements, grid))
-    phases = (_dft_phases(elements[dense[0]], grid)
-              if len(dense) == 1 and isinstance(elements[dense[0]], FourierSystem) else None)
+        return Kernel._factored(grid, lead / grid.dx, None, build)
+    first = elements[dense[0]]
+    phases = (_dft_phases(first, grid)
+              if len(dense) == 1 and isinstance(first, FourierSystem) else None)
     if phases is None:
-        return Kernel(grid, grid, _chain_matrix(elements, grid))
+        return Kernel(grid, grid, build())
     post, pre = phases
-    for e in elements[:dense[0]]:
-        pre = pre * _thin_transmission(e, grid)
     for e in elements[dense[0] + 1:]:
         post = post * _thin_transmission(e, grid)
-    return Kernel._factored(grid, post, pre, lambda: _chain_matrix(elements, grid))
+    return Kernel._factored(grid, post, pre * lead, build)
 
 
 def g_kernel(k: Kernel) -> np.ndarray:
