@@ -1,6 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 validation error, 3 runtime/physics error.
+
+``validate`` loads only the schema, not numpy: the demos and the runner are
+imported by the commands that use them.
 """
 
 from __future__ import annotations
@@ -10,14 +13,15 @@ import json
 import sys
 from pathlib import Path
 
-from .demos import demo_documents
 from .errors import PhysicsError, ValidationError
-from .scenarios import DEFAULT_FORMATS, parse_scenario, run_scenario, scenario_from_document
+from .schema import DEFAULT_FORMATS, parse_scenario, scenario_from_document
 
 
 def _load_scenario(ref: str):
     """A demo name parses only that demo's document; anything else is read
     as a scenario file."""
+    from .demos import demo_documents
+
     demos = demo_documents()
     if ref in demos:
         return scenario_from_document(demos[ref])
@@ -33,6 +37,8 @@ def _load_scenario(ref: str):
 
 
 def _cmd_run(args) -> int:
+    from .scenarios import run_scenario
+
     scenario = _load_scenario(args.scenario)
     formats = None
     if args.format is not None:
@@ -62,6 +68,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_list_demos(args) -> int:
+    from .demos import demo_documents
+
     for name, doc in demo_documents().items():
         print(f"{name}: {doc['description']}")
     return 0

@@ -3,16 +3,22 @@
 All continuum integrals in the simulator are discretized as sums over this
 lattice with uniform weight ``dx``, so closed-form identities hold to
 round-off instead of to a quadrature-rule mismatch.
+
+numpy is imported by the two methods that return arrays, so a scenario can
+be parsed and validated without loading it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -24,7 +30,7 @@ class Grid:
     center: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
+        if not isinstance(self.n, numbers.Integral) or self.n < 2:
             raise ValidationError(f"n must be an integer >= 2, got {self.n!r}")
         if not (self.dx > 0 and math.isfinite(self.dx)):
             raise ValidationError(f"must be positive and finite, got {self.dx!r}", field="dx")
@@ -33,6 +39,8 @@ class Grid:
 
     @property
     def points(self) -> np.ndarray:
+        import numpy as np
+
         return self.center + (np.arange(self.n) - (self.n - 1) / 2) * self.dx
 
     @property
@@ -59,6 +67,8 @@ class Grid:
 
     def integrate(self, values: np.ndarray) -> complex:
         """Discrete integral sum(f(x_i)) * dx over the lattice."""
+        import numpy as np
+
         return np.asarray(values).sum() * self.dx
 
 

@@ -80,7 +80,7 @@ def _checked_matrix(matrix, grid_in: Grid, grid_out: Grid) -> np.ndarray:
             f"kernel matrix shape {m.shape} does not match grids "
             f"({grid_out.n}, {grid_in.n})"
         )
-    if not np.all(np.isfinite(m.view(float) if m.dtype.kind == "c" else m)):
+    if not np.all(np.isfinite(m)):
         raise ValidationError("kernel matrix contains non-finite entries")
     return np.ascontiguousarray(m, dtype=complex)
 

@@ -272,3 +272,23 @@ def test_custom_kernel_shape_checked():
     g = make_grid(3, 1.0, 0.0)
     with pytest.raises(ValidationError):
         kernel_of(Custom(np.zeros((2, 2))), g)
+
+
+def test_transposed_complex_matrix_accepted():
+    # A transpose is not C-contiguous; the finiteness check must not need a view.
+    g = make_grid(4, 1.0, 0.0)
+    m = np.arange(16.0).reshape(4, 4) * (1 + 2j)
+    assert not m.T.flags["C_CONTIGUOUS"]
+    for k in (Kernel(g, g, m.T), kernel_of(Custom(m.T), g)):
+        assert k.matrix.flags["C_CONTIGUOUS"]
+        assert np.array_equal(k.matrix, m.T)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_transposed_complex_matrix_non_finite_rejected(bad):
+    g = make_grid(4, 1.0, 0.0)
+    m = np.ones((4, 4), dtype=complex)
+    m[1, 2] = bad
+    for make in (lambda: Kernel(g, g, m.T), lambda: kernel_of(Custom(m.T), g)):
+        with pytest.raises(ValidationError, match="non-finite"):
+            make()

@@ -18,6 +18,7 @@ from biphoton.cli import main as cli_main
 from biphoton.scenarios import VariantResults, write_outputs
 from biphoton.measure import Density1D, Density2D
 from biphoton.grid import Grid
+from biphoton.optics import Mask
 from biphoton.sampling import CoincidenceCounts
 from biphoton.sources import SchmidtSpectrum
 
@@ -187,6 +188,8 @@ def test_cli_validate_and_exit_codes(tmp_path, capsys):
 
 _SHORT = {"profile": "array", "values": [1, 2, 3]}
 _GAUSS = {"profile": "gaussian", "waist": 2e-5}
+_ZERO = {"profile": "array", "values": [0.0] * 8}
+_GAIN = {"profile": "array", "values": [1, 1, 1, 1.5, 1, 1, 1, 1]}
 
 
 @pytest.mark.parametrize("edit,field", [
@@ -203,6 +206,22 @@ _GAUSS = {"profile": "gaussian", "waist": 2e-5}
      "variants[1].source.components[1].source.intensity.values"),
     ({"variants": [{"label": "a", "arm1": [{"element": "custom", "matrix": [[1.0] * 9] * 8}]}]},
      "variants[0].arm1[0].matrix"),
+    pytest.param({"arm1": [{"element": "mask", "transmittance": _GAIN}]},
+                 "arm1[0].transmittance.values[3]", id="mask-gain"),
+    pytest.param({"source": {"type": "correlated", "intensity": _ZERO}},
+                 "source.intensity.values", id="zero-correlated"),
+    pytest.param({"source": {"type": "mixture", "components": [
+        {"weight": 1.0, "source": {"type": "localized", "intensity": _ZERO}}]}},
+        "source.components[0].source.intensity.values", id="zero-localized"),
+    pytest.param({"source": {"type": "entangled_delta", "amplitude": _ZERO}},
+                 "source.amplitude.values", id="zero-entangled_delta"),
+    pytest.param({"source": {"type": "factorizable", "amplitude1": _GAUSS, "amplitude2": _ZERO}},
+                 "source.amplitude2.values", id="zero-factorizable"),
+    pytest.param({"source": {"type": "single_pure", "amplitude": _ZERO},
+                  "measurements": [{"kind": "singles_1"}]},
+                 "source.amplitude.values", id="zero-single_pure"),
+    pytest.param({"source": {"type": "spdc", "pump": _ZERO, "pm_width": 1e-5}},
+                 "source.pump.values", id="zero-spdc-pump"),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_cli_validate_names_grid_sized_field(tmp_path, capsys, edit, field):
     path = tmp_path / "s.json"
@@ -242,7 +261,7 @@ def test_cli_run_file_parses_no_demo(tmp_path, capsys, monkeypatch):
         parsed.append(doc.get("name"))
         return original(doc)
 
-    monkeypatch.setattr(scenarios, "scenario_from_document", counting)
+    monkeypatch.setattr("biphoton.schema.scenario_from_document", counting)
     monkeypatch.setattr(cli, "scenario_from_document", counting)
     path = tmp_path / "s.json"
     path.write_text(json.dumps({**minimal_document(), "name": "from-file"}))
@@ -268,6 +287,25 @@ def test_cli_physics_error_exit_code(tmp_path, capsys):
     path = tmp_path / "absorbing.json"
     path.write_text(json.dumps(doc))
     assert cli_main(["run", str(path)]) == 3
+
+
+@pytest.mark.parametrize("t", [1 + 5e-10, 1 + 2e-9, complex(0.6, 0.8), complex(-0.6, 0.81)])
+def test_mask_array_bound_matches_mask(t):
+    """Validation accepts a mask value exactly when optics.Mask does."""
+    try:
+        Mask(np.full(8, t))
+        builds = True
+    except ValidationError:
+        builds = False
+    doc = minimal_document()
+    doc["arm1"] = [{"element": "mask", "transmittance": {
+        "profile": "array", "values": [[t.real, t.imag]] * 8}}]
+    try:
+        parse_scenario(json.dumps(doc))
+        validates = True
+    except ValidationError:
+        validates = False
+    assert validates == builds
 
 
 def test_cli_mask_gain_exit_code(tmp_path, capsys):
