@@ -13,18 +13,17 @@ formed. ``sources.reduced_coherence`` stays the reference the tests compare
 against.
 
 Pair densities reach a kernel only through ``Kernel.dot`` (H A),
-``Kernel.dot_t`` (A H^T) and ``Kernel.abs2`` (|H|^2), so a factored Fourier
-arm is applied by FFT and a dense one by matrix products (see ``optics``).
-The partially coherent engine, used for mixed single photons and the
-entangled closed form, reads ``Kernel.matrix``.
+``Kernel.dot_diag`` (H diag(d)), ``Kernel.dot_t`` (A H^T) and
+``Kernel.abs2`` (|H|^2), so a factored Fourier arm is applied by FFT and a
+dense one by matrix products (see ``optics``). The partially coherent
+engine, used by the mixed single-photon oracle and the entangled closed
+form, reads ``Kernel.matrix``.
 
-A co-located pair amplitude (square, every nonzero entry on the diagonal:
-the ideal entangled source, each ``localized`` component, an SPDC state
-whose off-diagonal entries underflow to 0) is applied to a dense kernel by
-scaling its columns, H diag(d) = H * d. Each sum of that product has one
-nonzero term, so the two agree bit for bit for a real diagonal and to one
-rounding for a complex one (the BLAS product fuses multiply-adds). Its
-singles are then |H|^2 |d|^2 with no n x n product.
+A co-located pair state (``BiphotonPure.colocated``: the ideal entangled
+source, each ``localized`` component, an SPDC state whose off-diagonal
+entries underflow to 0) holds only d, amp = diag(d). Its joint starts from
+``Kernel.dot_diag`` and its singles are |H|^2 |d|^2, with no n x n
+amplitude. A state built from a matrix is never inspected for structure.
 
 Marginals come from the one joint: the scenario runner measures a pure pair
 as the one-component mixture and integrates that variant's single joint
@@ -46,7 +45,6 @@ import numpy as np
 from .errors import PhysicsError, ValidationError
 from .grid import Grid
 from .optics import Kernel, g_kernel
-from .optics import diagonal_entries as _diagonal
 from .sources import (
     BiphotonMixture,
     BiphotonPure,
@@ -167,7 +165,8 @@ def single_partially_coherent(s: SinglePhotonMixed, k: Kernel) -> Density1D:
 def _joint_raw(s: BiphotonPure, k1: Kernel, k2: Kernel) -> np.ndarray:
     if s.grid1 != k1.grid_in or s.grid2 != k2.grid_in:
         raise ValidationError("biphoton_joint: source grids must match kernel input grids")
-    a = k2.dot_t(k1.dot(s.amp)) * (s.grid1.dx * s.grid2.dx)
+    h1a = k1.dot(s.amp) if s.diagonal is None else k1.dot_diag(s.diagonal)
+    a = k2.dot_t(h1a) * (s.grid1.dx * s.grid2.dx)
     return np.abs(a) ** 2
 
 
@@ -183,16 +182,16 @@ def _singles_raw(s: BiphotonPure, k: Kernel, arm: int) -> np.ndarray:
         p(x1) = sum_x'' |sum_x h(x1, x) amp(x, x'') dx_in|^2 dx_other
     """
     if arm == 1:
-        grid_in, a, dx_other = s.grid1, s.amp, s.grid2.dx
+        grid_in, dx_other = s.grid1, s.grid2.dx
     elif arm == 2:
-        grid_in, a, dx_other = s.grid2, s.amp.T, s.grid1.dx
+        grid_in, dx_other = s.grid2, s.grid1.dx
     else:
         raise ValidationError(f"arm must be 1 or 2, got {arm!r}")
     if grid_in != k.grid_in:
         raise ValidationError("biphoton singles: source grid must match kernel input grid")
-    d = _diagonal(a)
+    d = s.diagonal
     if d is None:
-        t = k.dot(a)
+        t = k.dot(s.amp if arm == 1 else s.amp.T)
         vals = (t.real**2 + t.imag**2).sum(axis=1)
     else:
         # |H|^2 |d|^2; a dense H squares its entries as it always has
@@ -289,8 +288,8 @@ def correlated_marginal(
 # Mixtures: convex combinations of unnormalized pure-state densities.
 # Each component's |A|^2 carries its exact quadrature factors so that all
 # components share one proportionality convention; a single normalization
-# is applied at the end. Components are read one at a time, so a localized
-# mixture holds one co-located amplitude at a time.
+# is applied at the end. A localized mixture's components are co-located
+# states, each held as its length-n diagonal.
 
 
 def mixture_joint(m: BiphotonMixture, k1: Kernel, k2: Kernel) -> Density2D:

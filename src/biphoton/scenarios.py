@@ -83,36 +83,27 @@ def _build_arm(elements: tuple[ElementCfg, ...], scat: ScatterersCfg | None,
     base = chain(specs, grid)
     if scat is None:
         return base
-    if scat.background == "direct":
-        h = base.matrix.copy()
-    else:
-        h = np.zeros((grid.n, grid.n), dtype=complex)
-    zero = Kernel(grid, grid, np.zeros((grid.n, grid.n), dtype=complex))
+    # Each plane's scatterers are added to the running response.
+    h = base if scat.background == "direct" else Kernel(
+        grid, grid, np.zeros((grid.n, grid.n), dtype=complex))
     by_plane: dict[int, list[ScattererItemCfg]] = {}
     for it in scat.items:
         by_plane.setdefault(it.plane, []).append(it)
     for plane, items in sorted(by_plane.items()):
-        before = chain(specs[:plane], grid)
-        after = chain(specs[plane:], grid)
-        contrib = with_scatterers(
-            before, after, [Scatterer(it.position, it.strength) for it in items], zero
-        )
-        h = h + contrib.matrix
-    return Kernel(grid, grid, h)
+        h = with_scatterers(chain(specs[:plane], grid), chain(specs[plane:], grid),
+                            [Scatterer(it.position, it.strength) for it in items], h)
+    return h
 
 
 def _build_source(cfg: SourceCfg, grid: Grid):
-    if cfg.kind == "single_pure":
+    if cfg.kind == "single_pure" or (cfg.kind == "single_mixed" and cfg.model == "coherent"):
         return sources.SinglePhotonPure.normalized(grid, _resolve_profile(cfg.amplitude, grid))
-    if cfg.kind == "single_mixed":
-        if cfg.model == "coherent":
-            phi = sources.SinglePhotonPure.normalized(grid, _resolve_profile(cfg.amplitude, grid))
-            return sources.SinglePhotonMixed(grid, np.outer(phi.amp, phi.amp.conj()))
-        intensity = np.abs(_resolve_profile(cfg.intensity, grid))
-        total = intensity.sum() * grid.dx
-        if total == 0:
-            raise ValidationError("single_mixed intensity must not be all zero")
-        return sources.SinglePhotonMixed(grid, np.diag(intensity / total).astype(complex))
+    if cfg.kind in ("single_mixed", "correlated", "localized"):
+        # An incoherent photon images as one arm of a correlated pair does:
+        # |H|^2 applied to its normalized intensity. A mixture writes a
+        # localized source out as its co-located pairs.
+        gamma = np.abs(_resolve_profile(cfg.intensity, grid))
+        return sources.correlated_from_intensity(gamma, grid)
     if cfg.kind == "factorizable":
         phi1 = sources.SinglePhotonPure.normalized(grid, _resolve_profile(cfg.amplitude, grid))
         phi2 = sources.SinglePhotonPure.normalized(grid, _resolve_profile(cfg.amplitude2, grid))
@@ -123,24 +114,16 @@ def _build_source(cfg: SourceCfg, grid: Grid):
     if cfg.kind == "spdc":
         pump = _resolve_profile(cfg.pump, grid)
         return sources.spdc_amplitude(sources.SpdcParams(pump, cfg.pm_width), grid)
-    if cfg.kind == "correlated":
-        gamma = np.abs(_resolve_profile(cfg.intensity, grid))
-        return sources.correlated_from_intensity(gamma, grid)
     if cfg.kind == "mixture":
-        weights, states = [], []
+        comps = []
         for c in cfg.components:
             if c.source.kind == "localized":
-                gamma = np.abs(_resolve_profile(c.source.intensity, grid))
-                inner = sources.localized_pair_mixture(
-                    sources.correlated_from_intensity(gamma, grid)).components
-                weights += [c.weight * w for w in inner.weights]
-                states += inner.states
+                inner = sources.localized_pair_mixture(_build_source(c.source, grid))
+                comps += [(c.weight * w, state) for w, state in inner.components]
             else:
-                weights.append(c.weight)
-                states.append(_build_source(c.source, grid))
-        total = sum(weights)
-        return sources.BiphotonMixture(
-            sources.MixtureComponents([w / total for w in weights], states))
+                comps.append((c.weight, _build_source(c.source, grid)))
+        total = sum(w for w, _ in comps)
+        return sources.BiphotonMixture(tuple((w / total, state) for w, state in comps))
     raise ValidationError(f"unknown source kind {cfg.kind!r}")
 
 
@@ -235,10 +218,6 @@ def _compute_variant(s: Scenario, v: VariantCfg, k1: Kernel, k2: Kernel | None,
         if "singles_1" in kinds:
             res.items["singles_1"] = _with_context(
                 "singles_1", v.label, lambda: measure.single_coherent(src, k1))
-    elif isinstance(src, sources.SinglePhotonMixed):
-        if "singles_1" in kinds:
-            res.items["singles_1"] = _with_context(
-                "singles_1", v.label, lambda: measure.single_partially_coherent(src, k1))
     elif isinstance(src, (sources.BiphotonPure, sources.BiphotonMixture)):
         mix = (src if isinstance(src, sources.BiphotonMixture)
                else sources.BiphotonMixture(((1.0, src),)))

@@ -8,14 +8,12 @@ regularization that keeps every normalization integral exact.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .grid import Grid
-from .optics import diagonal_entries
 
 NORM_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -79,29 +77,42 @@ class SinglePhotonMixed:
         object.__setattr__(self, "coherence", g)
 
 
-@dataclass(frozen=True)
 class BiphotonPure:
     """Pure two-photon state with joint amplitude phi(x, x'), units 1/length.
 
     amp[i, j] is the amplitude for photon 1 at grid1.point(i) and photon 2
-    at grid2.point(j).
+    at grid2.point(j). A state built by ``colocated`` keeps only its
+    diagonal d, amp = diag(d), as ``diagonal`` and forms ``amp`` each time
+    it is read, without keeping it; a state built from a matrix has
+    ``diagonal`` None and its matrix is never inspected for structure.
     """
 
-    grid1: Grid
-    grid2: Grid
-    amp: np.ndarray
+    __slots__ = ("grid1", "grid2", "diagonal", "_amp")
 
-    def __post_init__(self):
-        a = np.asarray(self.amp, dtype=complex)
-        if a.shape != (self.grid1.n, self.grid2.n):
+    def __init__(self, grid1: Grid, grid2: Grid, amp):
+        a = np.asarray(amp, dtype=complex)
+        if a.shape != (grid1.n, grid2.n):
             raise ValidationError(
                 f"joint amplitude shape {a.shape} does not match grids "
-                f"({self.grid1.n}, {self.grid2.n})"
+                f"({grid1.n}, {grid2.n})"
             )
-        norm = np.sum(np.abs(a) ** 2) * self.grid1.dx * self.grid2.dx
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValidationError(f"joint amplitude not normalized: integral = {norm!r}")
-        object.__setattr__(self, "amp", a)
+        _check_pair_norm(np.sum(np.abs(a) ** 2) * grid1.dx * grid2.dx)
+        self.grid1, self.grid2, self.diagonal, self._amp = grid1, grid2, None, a
+
+    @classmethod
+    def colocated(cls, grid: Grid, d) -> "BiphotonPure":
+        """Both photons emitted at the same point: amp = diag(d) on one grid,
+        with sum |d|^2 dx^2 = 1. Checked and stored in O(n)."""
+        d = _as_complex_vector(d, grid.n, "co-located amplitude")
+        _check_pair_norm(np.sum(np.abs(d) ** 2) * grid.dx * grid.dx)
+        s = cls.__new__(cls)
+        s.grid1 = s.grid2 = grid
+        s.diagonal, s._amp = d, None
+        return s
+
+    @property
+    def amp(self) -> np.ndarray:
+        return np.diag(self.diagonal) if self._amp is None else self._amp
 
     @classmethod
     def normalized(cls, grid1: Grid, grid2: Grid, amp) -> "BiphotonPure":
@@ -112,82 +123,39 @@ class BiphotonPure:
         return cls(grid1, grid2, a / norm)
 
 
-@dataclass(frozen=True)
-class ColocatedPair:
-    """Recipe for the pure pair state emitted at lattice point ``index``,
-    amp = e_i e_i^T / dx: ``build()`` allocates its n x n amplitude."""
-
-    grid: Grid
-    index: int
-
-    @property
-    def grid1(self) -> Grid:
-        return self.grid
-
-    @property
-    def grid2(self) -> Grid:
-        return self.grid
-
-    def build(self) -> BiphotonPure:
-        g = self.grid
-        amp = np.zeros((g.n, g.n), dtype=complex)
-        amp[self.index, self.index] = 1.0 / g.dx
-        return BiphotonPure(g, g, amp)
-
-
-class MixtureComponents(Sequence):
-    """The (weight, state) pairs of a mixture, in order. A state given as a
-    ``ColocatedPair`` is built each time it is read and not kept, so a loop
-    over the components holds one such amplitude at a time."""
-
-    def __init__(self, weights, states):
-        self.weights = tuple(float(w) for w in weights)
-        self.states = tuple(states)
-        if len(self.weights) != len(self.states):
-            raise ValidationError("mixture needs one weight per component")
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        s = self.states[i]
-        return self.weights[i], (s.build() if isinstance(s, ColocatedPair) else s)
+def _check_pair_norm(norm) -> None:
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise ValidationError(f"joint amplitude not normalized: integral = {norm!r}")
 
 
 @dataclass(frozen=True)
 class BiphotonMixture:
-    """Finite convex mixture of pure biphoton states on common grids, from
-    (weight, state) pairs or a ``MixtureComponents``."""
+    """Finite convex mixture of pure biphoton states on common grids."""
 
-    components: MixtureComponents
+    components: tuple[tuple[float, BiphotonPure], ...]
 
     def __post_init__(self):
-        comps = self.components
-        if not isinstance(comps, MixtureComponents):
-            pairs = tuple(comps)
-            comps = MixtureComponents([w for w, _ in pairs], [s for _, s in pairs])
+        comps = tuple((float(w), s) for w, s in self.components)
         if not comps:
             raise ValidationError("mixture needs at least one component")
-        if not all(w >= 0 for w in comps.weights):
+        if not all(w >= 0 for w, _ in comps):
             raise ValidationError("mixture weights must be non-negative and finite")
-        total = sum(comps.weights)
+        total = sum(w for w, _ in comps)
         if not abs(total - 1.0) <= NORM_TOL:
             raise ValidationError(f"mixture weights must sum to 1, got {total!r}")
-        g1, g2 = comps.states[0].grid1, comps.states[0].grid2
-        for s in comps.states[1:]:
+        g1, g2 = comps[0][1].grid1, comps[0][1].grid2
+        for _, s in comps[1:]:
             if s.grid1 != g1 or s.grid2 != g2:
                 raise ValidationError("mixture components must share grids")
         object.__setattr__(self, "components", comps)
 
     @property
     def grid1(self) -> Grid:
-        return self.components.states[0].grid1
+        return self.components[0][1].grid1
 
     @property
     def grid2(self) -> Grid:
-        return self.components.states[0].grid2
+        return self.components[0][1].grid2
 
 
 @dataclass(frozen=True)
@@ -249,8 +217,7 @@ def entangled_delta(phi: SinglePhotonPure) -> BiphotonPure:
 
         amp(x_i, x_j) = phi(x_i) * delta_ij / sqrt(dx).
     """
-    g = phi.grid
-    return BiphotonPure(g, g, np.diag(phi.amp) / np.sqrt(g.dx))
+    return BiphotonPure.colocated(phi.grid, phi.amp / np.sqrt(phi.grid.dx))
 
 
 def spdc_amplitude(params: SpdcParams, grid: Grid) -> BiphotonPure:
@@ -273,7 +240,9 @@ def spdc_amplitude(params: SpdcParams, grid: Grid) -> BiphotonPure:
     lattice. Both vectors have length 2n - 1, so the build is O(n^2) and
     nothing n x n is exponentiated. The same product is stored at [i, j]
     and [j, i]: the result is exactly symmetric, and exactly Hermitian for a
-    real pump. A pump without imaginary part is computed in float64.
+    real pump. A pump without imaginary part is computed in float64. When
+    every off-centre e[d] underflows to 0 (b << dx) the state is co-located
+    and comes back from ``BiphotonPure.colocated`` with d[i] = q[2i].
     """
     pump = _as_complex_vector(params.pump, grid.n, "pump")
     if not np.any(pump):
@@ -287,6 +256,10 @@ def spdc_amplitude(params: SpdcParams, grid: Grid) -> BiphotonPure:
     q = np.convolve(np.exp(-((t * dx / 2) / b) ** 2), upsampled, mode="valid")
     d = np.arange(-(n - 1), n)
     e = np.exp(-((d * dx) / (2 * b)) ** 2)
+    if not np.any(e[:n - 1]):  # e is even, so e[n:] is zero too
+        diag = q[::2]  # e[n - 1] = 1
+        norm = np.sqrt(np.sum(np.abs(diag) ** 2) * dx * dx)
+        return BiphotonPure.colocated(grid, diag / norm)
     i = np.arange(n)
     amp = e[np.subtract.outer(i, i) + (n - 1)] * q[np.add.outer(i, i)]
     return BiphotonPure.normalized(grid, grid, amp)
@@ -318,9 +291,10 @@ def schmidt_spectrum(s: BiphotonPure) -> SchmidtSpectrum:
     state is from factorizable (K = 1) toward maximally entangled.
 
     The Schmidt coefficients are the singular values of a = amp*sqrt(dx1*dx2).
-    A co-located amplitude (square, nonzero only on its diagonal: an
-    entangled delta, real or complex phi) has them as |diag(a)|, sorted, with
-    no decomposition. When a is square and exactly equal to its conjugate
+    A co-located state (``diagonal`` set: an entangled delta, real or complex
+    phi, a localized component, an underflowed SPDC state) has them as
+    |d| sqrt(dx1*dx2), sorted, with no decomposition and no n x n matrix.
+    Otherwise, when a is square and exactly equal to its conjugate
     transpose (an SPDC state from a real pump), they are the absolute
     eigenvalues from eigvalsh, computed in float64 when a has no imaginary
     part. Equality is tested exactly, not to a tolerance, so a state
@@ -328,9 +302,8 @@ def schmidt_spectrum(s: BiphotonPure) -> SchmidtSpectrum:
     and any other amplitude take the general SVD.
     """
     scale = np.sqrt(s.grid1.dx * s.grid2.dx)
-    d = diagonal_entries(s.amp)
-    if d is not None:
-        sigma = np.sort(np.abs(d) * scale)[::-1]
+    if s.diagonal is not None:
+        sigma = np.sort(np.abs(s.diagonal) * scale)[::-1]
     else:
         a = s.amp * scale
         if a.shape[0] == a.shape[1] and np.array_equal(a, a.conj().T):
@@ -362,9 +335,12 @@ def correlated_from_intensity(gamma, grid: Grid) -> CorrelatedPairSource:
 def localized_pair_mixture(c: CorrelatedPairSource) -> BiphotonMixture:
     """The correlated source written out as a convex mixture of co-located
     pair emissions: weight gamma(x_i) dx for the pure pair state with
-    amp = e_i e_i^T / dx at each lattice point with gamma > 0. Each state is
-    built only when the mixture's components are read."""
+    amp = e_i e_i^T / dx at each lattice point with gamma > 0, each held as
+    its length-n diagonal."""
     g = c.grid
-    points = np.flatnonzero(c.gamma > 0)
-    return BiphotonMixture(MixtureComponents(
-        [float(c.gamma[i] * g.dx) for i in points], [ColocatedPair(g, int(i)) for i in points]))
+    comps = []
+    for i in np.flatnonzero(c.gamma > 0):
+        d = np.zeros(g.n, dtype=complex)
+        d[i] = 1.0 / g.dx
+        comps.append((float(c.gamma[i] * g.dx), BiphotonPure.colocated(g, d)))
+    return BiphotonMixture(tuple(comps))

@@ -31,7 +31,6 @@ from biphoton.cli import main as cli_main
 from biphoton.sources import (
     BiphotonMixture,
     BiphotonPure,
-    ColocatedPair,
     correlated_from_intensity,
 )
 
@@ -79,7 +78,7 @@ def test_diagonal_route_matches_dense_products(case):
     s, real_diagonal = _diagonal_cases()[case]
     amp = s.amp
     assert np.count_nonzero(amp - np.diag(np.diagonal(amp))) == 0
-    assert measure._diagonal(amp) is not None
+    assert s.diagonal is not None and np.array_equal(np.diagonal(amp), s.diagonal)
     rng = np.random.default_rng(SEED)
     k1, k2 = random_kernel(rng, s.grid1), random_kernel(rng, s.grid2)
     mix = BiphotonMixture(((1.0, s),))
@@ -120,7 +119,7 @@ def _dense_cases():
 @pytest.mark.parametrize("case", sorted(_dense_cases()))
 def test_dense_route_for_non_diagonal_amplitudes(case):
     s = _dense_cases()[case]
-    assert measure._diagonal(s.amp) is None
+    assert s.diagonal is None
     rng = np.random.default_rng(SEED + 1)
     k1, k2 = random_kernel(rng, s.grid1), random_kernel(rng, s.grid2)
     ref = dense_joint(s, k1, k2)
@@ -129,20 +128,20 @@ def test_dense_route_for_non_diagonal_amplitudes(case):
         assert rel_linf(biphoton_singles(s, k, arm).values, dense_singles(s, k, arm)) <= TOL
 
 
-def test_localized_components_are_built_when_read():
+def test_localized_components_hold_their_diagonal():
     g = make_grid(16, 1e-5, 0.0)
     mix = localized_pair_mixture(correlated_from_intensity(np.linspace(0.0, 1.0, g.n), g))
     assert len(mix.components) == g.n - 1
-    assert all(isinstance(s, ColocatedPair) for s in mix.components.states)
-    w, s = mix.components[2]
-    assert w == mix.components.weights[2] and s is not mix.components[2][1]
-    assert np.array_equal(s.amp, np.diag(np.eye(g.n)[3]) / g.dx)
-    held = BiphotonMixture(tuple(mix.components))  # every amplitude built and kept
+    for i, (_, s) in enumerate(mix.components):
+        assert s.diagonal.shape == (g.n,)
+        assert np.array_equal(s.amp, np.diag(np.eye(g.n)[i + 1]) / g.dx)
+    held = BiphotonMixture(tuple((w, BiphotonPure(g, g, s.amp)) for w, s in mix.components))
+    assert all(s.diagonal is None for _, s in held.components)
     rng = np.random.default_rng(SEED)
     k1, k2 = random_kernel(rng, g), random_kernel(rng, g)
     assert np.array_equal(mixture_joint(mix, k1, k2).values, mixture_joint(held, k1, k2).values)
-    assert np.array_equal(mixture_singles(mix, k2, 2).values,
-                          mixture_singles(held, k2, 2).values)
+    assert rel_linf(mixture_singles(mix, k2, 2).values,
+                    mixture_singles(held, k2, 2).values) <= TOL
 
 
 # ---------------------------------------------------------------------------
