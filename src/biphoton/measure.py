@@ -24,15 +24,17 @@ source, each ``localized`` component, an SPDC state whose off-diagonal
 entries underflow to 0) holds only d, amp = diag(d). Its joint starts from
 ``Kernel.dot_diag`` and its singles are |H|^2 |d|^2, with no n x n
 amplitude. A state built from a matrix is never inspected for structure.
+A classically correlated source is an incoherent batch of such pairs, one
+at each x_i with weight gamma_i dx, measured as one mixture component: its
+joint is |H1|^2 diag(gamma dx^3) (|H2|^2)^T and its singles |H|^2 gamma dx^2.
 
-Marginals come from the one joint: the scenario runner measures a pure pair
-as the one-component mixture and integrates that variant's single joint
-over the gating detector, so no joint is computed twice.
-
-Closed forms for the ideal entangled source and the classically correlated
-source are provided next to the generic routes so each can be checked
-against the other. All outputs are normalized to unit integral: detector
-constants are out of scope, only shapes carry physics.
+Marginals come from the one joint: the scenario runner measures every pair
+source as a mixture (a pure pair or a correlated source as its one
+component) and integrates that variant's single joint over the gating
+detector, so no joint is computed twice. The closed forms
+``entangled_marginal_closed`` and ``correlated_marginal`` are oracles the
+tests check that route against. All outputs are normalized to unit
+integral: detector constants are out of scope, only shapes carry physics.
 """
 
 from __future__ import annotations
@@ -159,12 +161,15 @@ def single_partially_coherent(s: SinglePhotonMixed, k: Kernel) -> Density1D:
 
 
 # ---------------------------------------------------------------------------
-# Pure biphoton densities
+# Pair densities: a pure pair, or a correlated source as one batch of pairs
 
 
-def _joint_raw(s: BiphotonPure, k1: Kernel, k2: Kernel) -> np.ndarray:
+def _joint_raw(s: BiphotonPure | CorrelatedPairSource, k1: Kernel, k2: Kernel) -> np.ndarray:
     if s.grid1 != k1.grid_in or s.grid2 != k2.grid_in:
-        raise ValidationError("biphoton_joint: source grids must match kernel input grids")
+        raise ValidationError("joint: source grids must match kernel input grids")
+    if isinstance(s, CorrelatedPairSource):
+        # the pair at x_i is d = e_i / dx with weight gamma_i dx
+        return (k1.abs2() * (s.gamma * s.grid.dx**3)) @ k2.abs2().T
     h1a = k1.dot(s.amp) if s.diagonal is None else k1.dot_diag(s.diagonal)
     a = k2.dot_t(h1a) * (s.grid1.dx * s.grid2.dx)
     return np.abs(a) ** 2
@@ -175,9 +180,9 @@ def biphoton_joint(s: BiphotonPure, k1: Kernel, k2: Kernel) -> Density2D:
     return _norm_2d(_joint_raw(s, k1, k2), k1.grid_out, k2.grid_out, "joint density")
 
 
-def _singles_raw(s: BiphotonPure, k: Kernel, arm: int) -> np.ndarray:
-    """Unnormalized singles of one arm of a pure pair, the other photon
-    traced out (arm 1 shown; arm 2 uses amp transposed):
+def _singles_raw(s: BiphotonPure | CorrelatedPairSource, k: Kernel, arm: int) -> np.ndarray:
+    """Unnormalized singles of one arm of a pair, the other photon traced
+    out (arm 1 shown; arm 2 uses amp transposed):
 
         p(x1) = sum_x'' |sum_x h(x1, x) amp(x, x'') dx_in|^2 dx_other
     """
@@ -188,15 +193,15 @@ def _singles_raw(s: BiphotonPure, k: Kernel, arm: int) -> np.ndarray:
     else:
         raise ValidationError(f"arm must be 1 or 2, got {arm!r}")
     if grid_in != k.grid_in:
-        raise ValidationError("biphoton singles: source grid must match kernel input grid")
+        raise ValidationError("singles: source grid must match kernel input grid")
+    if isinstance(s, CorrelatedPairSource):
+        return k.abs2() @ (s.gamma * s.grid.dx**2)
     d = s.diagonal
     if d is None:
         t = k.dot(s.amp if arm == 1 else s.amp.T)
         vals = (t.real**2 + t.imag**2).sum(axis=1)
     else:
-        # |H|^2 |d|^2; a dense H squares its entries as it always has
-        w = k.abs2() if k.factored else k.matrix.real**2 + k.matrix.imag**2
-        vals = w @ (d.real**2 + d.imag**2)
+        vals = k.abs2() @ (d.real**2 + d.imag**2)
     return _clip_nonnegative(vals * (dx_other * grid_in.dx**2), "singles density")
 
 
@@ -235,30 +240,18 @@ def entangled_marginal_closed(
 
 
 # ---------------------------------------------------------------------------
-# Classically correlated source closed forms
-
-
-def _check_correlated(c: CorrelatedPairSource, *kernels: Kernel) -> None:
-    for k in kernels:
-        if c.grid != k.grid_in:
-            raise ValidationError("correlated source grid must match kernel input grids")
+# Classically correlated source: the pair route, and the closed-form oracle
 
 
 def correlated_joint(c: CorrelatedPairSource, k1: Kernel, k2: Kernel) -> Density2D:
     """p(x1, x2) ~ sum_x gamma(x) |h1(x1, x)|^2 |h2(x2, x)|^2 dx: intensities
     add per emission point, no amplitude cross terms."""
-    _check_correlated(c, k1, k2)
-    vals = (k1.abs2() * (c.gamma * c.grid.dx)[None, :]) @ k2.abs2().T
-    return _norm_2d(vals, k1.grid_out, k2.grid_out, "joint density")
+    return _norm_2d(_joint_raw(c, k1, k2), k1.grid_out, k2.grid_out, "joint density")
 
 
 def correlated_singles(c: CorrelatedPairSource, k: Kernel, arm: int = 1) -> Density1D:
     """p_j(x_j) ~ sum_x gamma(x) |h_j(x_j, x)|^2 dx (incoherent system)."""
-    if arm not in (1, 2):
-        raise ValidationError(f"arm must be 1 or 2, got {arm!r}")
-    _check_correlated(c, k)
-    vals = k.abs2() @ (c.gamma * c.grid.dx)
-    return _norm_1d(vals, k.grid_out, "singles density")
+    return _norm_1d(_singles_raw(c, k, arm), k.grid_out, "singles density")
 
 
 def correlated_marginal(
@@ -273,7 +266,8 @@ def correlated_marginal(
     For a lossless or shift-invariant gating arm the throughput is constant
     and the marginal equals the singles.
     """
-    _check_correlated(c, k_obs, k_other)
+    if c.grid != k_obs.grid_in or c.grid != k_other.grid_in:
+        raise ValidationError("correlated_marginal: source grid must match kernel input grids")
     throughput = k_other.abs2().sum(axis=0) * k_other.grid_out.dx
     gamma_bar = c.gamma * throughput
     if not gamma_bar.sum() > 0:
@@ -285,11 +279,11 @@ def correlated_marginal(
 
 
 # ---------------------------------------------------------------------------
-# Mixtures: convex combinations of unnormalized pure-state densities.
-# Each component's |A|^2 carries its exact quadrature factors so that all
+# Mixtures: convex combinations of unnormalized pair densities. Each
+# component's raw density carries its exact quadrature factors so that all
 # components share one proportionality convention; a single normalization
 # is applied at the end. A localized mixture's components are co-located
-# states, each held as its length-n diagonal.
+# states, each held as its length-n diagonal; a correlated one holds gamma.
 
 
 def mixture_joint(m: BiphotonMixture, k1: Kernel, k2: Kernel) -> Density2D:

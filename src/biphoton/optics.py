@@ -138,17 +138,18 @@ class Kernel:
         return np.fft.fft(m * self._pre, axis=-1) * self._post
 
     def abs2(self) -> np.ndarray:
-        """|H|^2 entrywise: cached np.abs(matrix)**2 for a dense kernel, the
-        outer product of |post|^2 and |pre|^2 for a factored one (its
-        diagonal |post|^2 when F = I)."""
-        if self._post is None:
-            if self._abs2 is None:
-                self._abs2 = np.abs(self.matrix) ** 2
-            return self._abs2
-        post2 = np.abs(self._post) ** 2
-        if self._pre is None:
-            return np.diag(post2)
-        return np.outer(post2, np.abs(self._pre) ** 2)
+        """|H|^2 entrywise, cached read-only: re^2 + im^2 of a dense matrix,
+        |post|^2 outer |pre|^2 when factored (diag |post|^2 when F = I)."""
+        if self._abs2 is None:
+            if self._post is None:
+                m = self.matrix
+                self._abs2 = m.real**2 + m.imag**2
+            elif self._pre is None:
+                self._abs2 = np.diag(np.abs(self._post) ** 2)
+            else:
+                self._abs2 = np.outer(np.abs(self._post) ** 2, np.abs(self._pre) ** 2)
+            self._abs2.flags.writeable = False
+        return self._abs2
 
     def apply(self, amp: np.ndarray) -> np.ndarray:
         """Propagate a field amplitude: out = H @ amp * dx_in."""

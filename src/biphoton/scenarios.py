@@ -218,7 +218,8 @@ def _compute_variant(s: Scenario, v: VariantCfg, k1: Kernel, k2: Kernel | None,
         if "singles_1" in kinds:
             res.items["singles_1"] = _with_context(
                 "singles_1", v.label, lambda: measure.single_coherent(src, k1))
-    elif isinstance(src, (sources.BiphotonPure, sources.BiphotonMixture)):
+    else:
+        # A pure pair or a correlated source is its own one-component mixture.
         mix = (src if isinstance(src, sources.BiphotonMixture)
                else sources.BiphotonMixture(((1.0, src),)))
         if any(k in kinds for k in _NEEDS_JOINT):
@@ -235,22 +236,6 @@ def _compute_variant(s: Scenario, v: VariantCfg, k1: Kernel, k2: Kernel | None,
                     lambda arm=arm: measure.marginal_from_joint(joint, arm))
         if "schmidt" in kinds:
             res.items["schmidt"] = sources.schmidt_spectrum(src)
-    elif isinstance(src, sources.CorrelatedPairSource):
-        if "joint" in kinds or "sample" in kinds:
-            joint = _with_context(
-                "joint", v.label, lambda: measure.correlated_joint(src, k1, k2))
-        for arm in (1, 2):
-            if f"singles_{arm}" in kinds:
-                res.items[f"singles_{arm}"] = _with_context(
-                    f"singles_{arm}", v.label,
-                    lambda arm=arm: measure.correlated_singles(src, kernel_for_arm(arm), arm))
-            if f"marginal_{arm}" in kinds:
-                res.items[f"marginal_{arm}"] = _with_context(
-                    f"marginal_{arm}", v.label,
-                    lambda arm=arm: measure.correlated_marginal(
-                        src, kernel_for_arm(arm), kernel_for_arm(2 if arm == 1 else 1)))
-    else:  # pragma: no cover
-        raise ValidationError(f"unsupported source object {type(src).__name__}")
 
     if "joint" in kinds and joint is not None:
         res.items["joint"] = joint

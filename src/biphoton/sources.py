@@ -130,9 +130,10 @@ def _check_pair_norm(norm) -> None:
 
 @dataclass(frozen=True)
 class BiphotonMixture:
-    """Finite convex mixture of pure biphoton states on common grids."""
+    """Finite convex mixture of pair states on common grids: pure biphotons
+    and correlated sources (incoherent batches of co-located pairs)."""
 
-    components: tuple[tuple[float, BiphotonPure], ...]
+    components: tuple[tuple[float, BiphotonPure | CorrelatedPairSource], ...]
 
     def __post_init__(self):
         comps = tuple((float(w), s) for w, s in self.components)
@@ -177,6 +178,8 @@ class CorrelatedPairSource:
         if not abs(total - 1.0) <= NORM_TOL:
             raise ValidationError(f"gamma must integrate to 1, got {total!r}")
         object.__setattr__(self, "gamma", g)
+
+    grid1 = grid2 = property(lambda self: self.grid)  # as a mixture component
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Co-located pair states declare amp = diag(d) when they are built and hold
 only d. Each measurement of such a state is checked against the same
 amplitude given as a dense matrix, which takes the general products, and a
-scenario run never forms the n x n amplitude of a co-located state."""
+scenario run never forms the n x n amplitude of a co-located state. A
+correlated source, a batch of co-located pairs, is checked against those
+pairs written out one by one."""
 
 import json
 
@@ -10,6 +12,7 @@ import pytest
 from helpers import random_kernel, rel_linf
 
 from biphoton import (
+    BiphotonMixture,
     BiphotonPure,
     FourierSystem,
     Mask,
@@ -20,9 +23,13 @@ from biphoton import (
     biphoton_joint,
     biphoton_singles,
     chain,
+    correlated_from_intensity,
     entangled_delta,
+    localized_pair_mixture,
     make_grid,
     marginal_from_joint,
+    mixture_joint,
+    mixture_singles,
     parse_scenario,
     run_scenario,
     schmidt_spectrum,
@@ -88,6 +95,31 @@ def test_colocated_matches_dense_diagonal(n, kind, real):
     check(sp.singular_values, sp_ref.singular_values, real)
     assert sp.participation == pytest.approx(sp_ref.participation, rel=TOL)
     assert sp.entropy == pytest.approx(sp_ref.entropy, rel=TOL)
+
+
+@pytest.mark.parametrize("kind", ["dense", "identity-factored", "dft-factored"])
+@pytest.mark.parametrize("n", [7, 8, 32])
+def test_correlated_component_equals_its_localized_expansion(n, kind):
+    """A correlated source is one mixture component: the batch of co-located
+    pairs that ``localized_pair_mixture`` writes out one by one."""
+    rng = np.random.default_rng(SEED + n)
+    g = make_grid(n, 2e-6, 1.3e-6)
+    gamma = rng.uniform(0.1, 1.0, n)
+    gamma[n // 3] = 0.0  # a point that emits nothing has no expanded component
+    c = correlated_from_intensity(gamma, g)
+    general = BiphotonPure.normalized(g, g, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    pure = [(0.3, BiphotonPure.colocated(g, _diagonal(rng, g, False))), (0.2, general)]
+    batch = BiphotonMixture((*pure, (0.5, c)))
+    expanded = BiphotonMixture((*pure, *((0.5 * w, s)
+                                        for w, s in localized_pair_mixture(c).components)))
+    assert len(expanded.components) == 2 + n - 1
+    k1, k2 = _kernel(kind, rng, g), _kernel(kind, rng, g)
+    assert k1.factored == (kind != "dense")
+    assert rel_linf(mixture_joint(batch, k1, k2).values,
+                    mixture_joint(expanded, k1, k2).values) <= TOL
+    for arm, k in ((1, k1), (2, k2)):
+        assert rel_linf(mixture_singles(batch, k, arm).values,
+                        mixture_singles(expanded, k, arm).values) <= TOL
 
 
 def _document(variants: list, measurements: list) -> dict:

@@ -115,6 +115,20 @@ def test_matched_bound_routes(n):
     assert not chain(_fourier_chain(rng, g, -2 * bound), g).factored
 
 
+@pytest.mark.parametrize("kind", ["dense", "identity-factored", "dft-factored"])
+def test_abs2_is_computed_once(kind):
+    rng = np.random.default_rng(SEED + 2)
+    g = make_grid(32, 2e-6, 0.0)
+    elements = {"dense": [FreeSpace(1e-3, LAM), _mask(rng, g)],
+                "identity-factored": [_mask(rng, g), ThinLens(0.2, LAM)],
+                "dft-factored": _fourier_chain(rng, g)}[kind]
+    k = chain(elements, g)
+    assert k.factored == (kind != "dense")
+    w = k.abs2()
+    assert k.abs2() is w and not w.flags.writeable
+    assert rel_linf(w, np.abs(k.matrix) ** 2) <= TOL
+
+
 def test_other_chains_stay_dense():
     g = make_grid(64, 2e-6, 0.0)
     f = _matched_f(g)

@@ -3,7 +3,9 @@ sources are measured without a coherence matrix, and each scatterer plane
 is added to the running arm response. The references rebuild the dense
 routes: a ``SinglePhotonMixed`` coherence matrix imaged by
 ``single_partially_coherent``, and each plane's scatterers summed into a
-zero kernel and then added."""
+zero kernel and then added. A correlated source is measured as a mixture,
+its marginals from its joint; the reference is the closed form
+``correlated_marginal``."""
 
 import json
 
@@ -17,6 +19,9 @@ from biphoton import (
     SinglePhotonMixed,
     SinglePhotonPure,
     chain,
+    correlated_from_intensity,
+    correlated_marginal,
+    measure,
     parse_scenario,
     run_scenario,
     scenarios,
@@ -108,3 +113,56 @@ def test_scatterer_planes_added_to_running_response(background, per_plane):
         assert np.array_equal(got, ref)
     else:
         assert rel_linf(got, ref) <= TOL
+
+
+# Lossy dense arms with a mask between two free-space sections, so |H|^2 is
+# not an input profile times an output profile: the gating arm's throughput
+# varies across the source, and each gated marginal differs from the singles.
+_GATING_ARM1 = _LOSSY_ARM + [{"element": "free_space", "distance": 1e-3}]
+_GATING_ARM2 = [_LOSSY_ARM[2], {"element": "free_space", "distance": 1e-3}, _LOSSY_ARM[0],
+                {"element": "free_space", "distance": 2e-3}]
+
+
+def _correlated_document(measurements: list) -> dict:
+    return {
+        "schema_version": 1,
+        "grid": {"n": N, "dx": DX, "center": 0.0},
+        "wavelength": LAM,
+        "source": {"type": "correlated", "intensity": _PROFILE},
+        "arm1": _GATING_ARM1,
+        "arm2": _GATING_ARM2,
+        "measurements": measurements,
+    }
+
+
+def test_correlated_marginals_match_closed_form(tmp_path):
+    kinds = ["singles_1", "singles_2", "marginal_1", "marginal_2"]
+    s = parse_scenario(json.dumps(_correlated_document([{"kind": k} for k in kinds])))
+    run_scenario(s, tmp_path)
+    k1, k2 = (chain([scenarios._build_element(e, s.grid, LAM) for e in arm], s.grid)
+              for arm in (s.arm1, s.arm2))
+    assert not k1.factored and not k2.factored
+    c = correlated_from_intensity(
+        np.abs(scenarios._resolve_profile(s.source.intensity, s.grid)), s.grid)
+    for arm, (k_obs, k_other) in ((1, (k1, k2)), (2, (k2, k1))):
+        got = _read_csv_1d(tmp_path / f"marginal_{arm}.csv")
+        assert rel_linf(got, correlated_marginal(c, k_obs, k_other).values) <= TOL
+        assert rel_linf(got, _read_csv_1d(tmp_path / f"singles_{arm}.csv")) > 1e-3
+
+
+@pytest.mark.parametrize("model", ["correlated", "single_mixed"])
+def test_correlated_runs_need_no_correlated_formulas(model, tmp_path, monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("the runner measures a correlated source as a mixture")
+
+    for name in ("correlated_joint", "correlated_singles", "correlated_marginal"):
+        monkeypatch.setattr(measure, name, unused)
+    if model == "correlated":
+        doc = _correlated_document(
+            [{"kind": k} for k in ("joint", "singles_1", "singles_2", "marginal_1", "marginal_2")]
+            + [{"kind": "sample", "n": 1000, "seed": 3}])
+    else:
+        doc = _single_mixed_document("incoherent")
+    summary = run_scenario(parse_scenario(json.dumps(doc)), tmp_path)
+    kinds = [m["kind"] for m in doc["measurements"] if m["kind"] != "sample"]
+    assert {f"{k}.csv" for k in kinds} <= set(summary.files)
