@@ -23,9 +23,8 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys((
         "Density1D", "Density2D", "ImageMetrics", "biphoton_joint", "biphoton_singles",
-        "correlated_joint", "correlated_marginal", "correlated_singles",
-        "entangled_marginal_closed", "image_metrics", "marginal_from_joint", "mixture_joint",
-        "mixture_marginal", "mixture_singles", "single_coherent", "single_partially_coherent",
+        "correlated_marginal", "entangled_marginal_closed", "image_metrics",
+        "marginal_from_joint", "single_coherent", "single_partially_coherent",
     ), "measure"),
     **dict.fromkeys((
         "Custom", "ElementSpec", "FourierSystem", "FreeSpace", "Identity", "Kernel", "Mask",

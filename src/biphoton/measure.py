@@ -25,15 +25,17 @@ entries underflow to 0) holds only d, amp = diag(d). Its joint starts from
 ``Kernel.dot_diag`` and its singles are |H|^2 |d|^2, with no n x n
 amplitude. A state built from a matrix is never inspected for structure.
 A classically correlated source is an incoherent batch of such pairs, one
-at each x_i with weight gamma_i dx, measured as one mixture component: its
-joint is |H1|^2 diag(gamma dx^3) (|H2|^2)^T and its singles |H|^2 gamma dx^2.
+at each x_i with weight gamma_i dx: its joint is
+|H1|^2 diag(gamma dx^3) (|H2|^2)^T and its singles |H|^2 gamma dx^2.
 
-Marginals come from the one joint: the scenario runner measures every pair
-source as a mixture (a pure pair or a correlated source as its one
-component) and integrates that variant's single joint over the gating
-detector, so no joint is computed twice. The closed forms
-``entangled_marginal_closed`` and ``correlated_marginal`` are oracles the
-tests check that route against. All outputs are normalized to unit
+``biphoton_joint`` and ``biphoton_singles`` measure every pair state: a
+``BiphotonPure``, a ``CorrelatedPairSource`` or a ``BiphotonMixture``.
+Each component's raw density carries its exact quadrature factors, so a
+mixture is the weighted sum of its components' raws (any other state is
+its own one component), normalized once. Marginals are the joint
+integrated over the gating detector; the closed forms
+``entangled_marginal_closed`` and ``correlated_marginal`` are the oracles
+the tests check them against. All outputs are normalized to unit
 integral: detector constants are out of scope, only shapes carry physics.
 """
 
@@ -54,6 +56,8 @@ from .sources import (
     SinglePhotonMixed,
     SinglePhotonPure,
 )
+
+PairState = BiphotonPure | CorrelatedPairSource | BiphotonMixture
 
 NORM_TOL = 1e-10
 # Negative round-off allowance when clipping |.|^2-type values, relative to the peak.
@@ -161,7 +165,8 @@ def single_partially_coherent(s: SinglePhotonMixed, k: Kernel) -> Density1D:
 
 
 # ---------------------------------------------------------------------------
-# Pair densities: a pure pair, or a correlated source as one batch of pairs
+# Pair densities: a pure pair, a correlated source (one batch of pairs) or a
+# mixture of them
 
 
 def _joint_raw(s: BiphotonPure | CorrelatedPairSource, k1: Kernel, k2: Kernel) -> np.ndarray:
@@ -175,9 +180,16 @@ def _joint_raw(s: BiphotonPure | CorrelatedPairSource, k1: Kernel, k2: Kernel) -
     return np.abs(a) ** 2
 
 
-def biphoton_joint(s: BiphotonPure, k1: Kernel, k2: Kernel) -> Density2D:
-    """Coincidence density p(x1, x2) ~ |sum phi(x, x') h1(x1, x) h2(x2, x')|^2."""
-    return _norm_2d(_joint_raw(s, k1, k2), k1.grid_out, k2.grid_out, "joint density")
+def _components(s: PairState) -> tuple:
+    return s.components if isinstance(s, BiphotonMixture) else ((1.0, s),)
+
+
+def biphoton_joint(s: PairState, k1: Kernel, k2: Kernel) -> Density2D:
+    """Coincidence density p(x1, x2) ~ |sum phi(x, x') h1(x1, x) h2(x2, x')|^2
+    for a pure pair; intensities add per emission point for a correlated
+    source, and per component for a mixture."""
+    vals = sum(w * _joint_raw(c, k1, k2) for w, c in _components(s))
+    return _norm_2d(vals, k1.grid_out, k2.grid_out, "joint density")
 
 
 def _singles_raw(s: BiphotonPure | CorrelatedPairSource, k: Kernel, arm: int) -> np.ndarray:
@@ -205,10 +217,12 @@ def _singles_raw(s: BiphotonPure | CorrelatedPairSource, k: Kernel, arm: int) ->
     return _clip_nonnegative(vals * (dx_other * grid_in.dx**2), "singles density")
 
 
-def biphoton_singles(s: BiphotonPure, k: Kernel, arm: int) -> Density1D:
+def biphoton_singles(s: PairState, k: Kernel, arm: int) -> Density1D:
     """Singles rate of one arm: partially coherent imaging of the traced-out
-    (reduced) coherence of that photon."""
-    return _norm_1d(_singles_raw(s, k, arm), k.grid_out, "singles density")
+    (reduced) coherence of that photon; an incoherent system,
+    p(x_j) ~ sum_x gamma(x) |h_j(x_j, x)|^2 dx, for a correlated source."""
+    vals = sum(w * _singles_raw(c, k, arm) for w, c in _components(s))
+    return _norm_1d(vals, k.grid_out, "singles density")
 
 
 def marginal_from_joint(p: Density2D, arm: int) -> Density1D:
@@ -240,18 +254,7 @@ def entangled_marginal_closed(
 
 
 # ---------------------------------------------------------------------------
-# Classically correlated source: the pair route, and the closed-form oracle
-
-
-def correlated_joint(c: CorrelatedPairSource, k1: Kernel, k2: Kernel) -> Density2D:
-    """p(x1, x2) ~ sum_x gamma(x) |h1(x1, x)|^2 |h2(x2, x)|^2 dx: intensities
-    add per emission point, no amplitude cross terms."""
-    return _norm_2d(_joint_raw(c, k1, k2), k1.grid_out, k2.grid_out, "joint density")
-
-
-def correlated_singles(c: CorrelatedPairSource, k: Kernel, arm: int = 1) -> Density1D:
-    """p_j(x_j) ~ sum_x gamma(x) |h_j(x_j, x)|^2 dx (incoherent system)."""
-    return _norm_1d(_singles_raw(c, k, arm), k.grid_out, "singles density")
+# Classically correlated source: the closed-form marginal oracle
 
 
 def correlated_marginal(
@@ -276,34 +279,6 @@ def correlated_marginal(
         )
     vals = k_obs.abs2() @ (gamma_bar * c.grid.dx)
     return _norm_1d(vals, k_obs.grid_out, "marginal")
-
-
-# ---------------------------------------------------------------------------
-# Mixtures: convex combinations of unnormalized pair densities. Each
-# component's raw density carries its exact quadrature factors so that all
-# components share one proportionality convention; a single normalization
-# is applied at the end. A localized mixture's components are co-located
-# states, each held as its length-n diagonal; a correlated one holds gamma.
-
-
-def mixture_joint(m: BiphotonMixture, k1: Kernel, k2: Kernel) -> Density2D:
-    vals = sum(w * _joint_raw(s, k1, k2) for w, s in m.components)
-    return _norm_2d(vals, k1.grid_out, k2.grid_out, "joint density")
-
-
-def mixture_singles(m: BiphotonMixture, k: Kernel, arm: int) -> Density1D:
-    vals = sum(w * _singles_raw(s, k, arm) for w, s in m.components)
-    return _norm_1d(vals, k.grid_out, "singles density")
-
-
-def mixture_marginal(m: BiphotonMixture, k_obs: Kernel, k_other: Kernel, arm: int) -> Density1D:
-    """Bucket-gated marginal of a mixture: the mixture joint integrated over
-    the gating detector."""
-    if arm == 1:
-        return marginal_from_joint(mixture_joint(m, k_obs, k_other), 1)
-    if arm == 2:
-        return marginal_from_joint(mixture_joint(m, k_other, k_obs), 2)
-    raise ValidationError(f"arm must be 1 or 2, got {arm!r}")
 
 
 # ---------------------------------------------------------------------------

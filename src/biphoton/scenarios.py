@@ -205,13 +205,15 @@ def _build_arms(s: Scenario, variants: tuple[VariantCfg, ...]
 
 def _compute_variant(s: Scenario, v: VariantCfg, k1: Kernel, k2: Kernel | None,
                      seed_override: int | None) -> VariantResults:
-    source_cfg = s.resolve(v)[0]
-    src = _build_source(source_cfg, s.grid)
+    try:
+        src = _build_source(s.resolve(v)[0], s.grid)
+    except ValidationError as e:
+        # A resolved profile can fail checks that parsing cannot make (a
+        # Gaussian that underflows to zero on the grid): name the field.
+        where = "source" if v.source is None else f"variants[{s.variants.index(v)}].source"
+        raise ValidationError(str(e), field=where) from e
     kinds = [m.kind for m in s.measurements]
     res = VariantResults(v.label)
-
-    def kernel_for_arm(arm: int) -> Kernel:
-        return k1 if arm == 1 else k2
 
     joint = None
     if isinstance(src, sources.SinglePhotonPure):
@@ -219,17 +221,14 @@ def _compute_variant(s: Scenario, v: VariantCfg, k1: Kernel, k2: Kernel | None,
             res.items["singles_1"] = _with_context(
                 "singles_1", v.label, lambda: measure.single_coherent(src, k1))
     else:
-        # A pure pair or a correlated source is its own one-component mixture.
-        mix = (src if isinstance(src, sources.BiphotonMixture)
-               else sources.BiphotonMixture(((1.0, src),)))
         if any(k in kinds for k in _NEEDS_JOINT):
             joint = _with_context(
-                "joint", v.label, lambda: measure.mixture_joint(mix, k1, k2))
-        for arm in (1, 2):
+                "joint", v.label, lambda: measure.biphoton_joint(src, k1, k2))
+        for arm, k in ((1, k1), (2, k2)):
             if f"singles_{arm}" in kinds:
                 res.items[f"singles_{arm}"] = _with_context(
                     f"singles_{arm}", v.label,
-                    lambda arm=arm: measure.mixture_singles(mix, kernel_for_arm(arm), arm))
+                    lambda arm=arm, k=k: measure.biphoton_singles(src, k, arm))
             if f"marginal_{arm}" in kinds:
                 res.items[f"marginal_{arm}"] = _with_context(
                     f"marginal_{arm}", v.label,

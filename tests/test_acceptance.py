@@ -113,11 +113,13 @@ def test_criterion_3_correlated_closed_form_equivalence():
         mix = bp.localized_pair_mixture(c)
         k1, k2 = random_kernel(rng, g), random_kernel(rng, g)
         pairs = [
-            (bp.correlated_joint(c, k1, k2), bp.mixture_joint(mix, k1, k2)),
-            (bp.correlated_singles(c, k1, 1), bp.mixture_singles(mix, k1, 1)),
-            (bp.correlated_singles(c, k2, 2), bp.mixture_singles(mix, k2, 2)),
-            (bp.correlated_marginal(c, k1, k2), bp.mixture_marginal(mix, k1, k2, 1)),
-            (bp.correlated_marginal(c, k2, k1), bp.mixture_marginal(mix, k2, k1, 2)),
+            (bp.biphoton_joint(c, k1, k2), bp.biphoton_joint(mix, k1, k2)),
+            (bp.biphoton_singles(c, k1, 1), bp.biphoton_singles(mix, k1, 1)),
+            (bp.biphoton_singles(c, k2, 2), bp.biphoton_singles(mix, k2, 2)),
+            (bp.correlated_marginal(c, k1, k2),
+             bp.marginal_from_joint(bp.biphoton_joint(mix, k1, k2), 1)),
+            (bp.correlated_marginal(c, k2, k1),
+             bp.marginal_from_joint(bp.biphoton_joint(mix, k1, k2), 2)),
         ]
         for closed, oracle in pairs:
             RECORDED.extend([closed, oracle])
@@ -161,7 +163,7 @@ def test_criterion_5_isoplanatic_collapse():
         k_other = bp.Kernel(g, g, bp.circulant_matrix(col))
         k_obs = random_kernel(rng, g)
         pm = bp.correlated_marginal(c, k_obs, k_other)
-        ps = bp.correlated_singles(c, k_obs, 1)
+        ps = bp.biphoton_singles(c, k_obs, 1)
         RECORDED.extend([pm, ps])
         worst = max(worst, float(np.max(np.abs(pm.values - ps.values))))
     assert worst <= 1e-10
@@ -243,7 +245,7 @@ def test_criterion_9_normalization_suite():
         bp.biphoton_joint(ent, k1, k2),
         bp.biphoton_singles(ent, k1, 1),
         bp.marginal_from_joint(bp.biphoton_joint(ent, k1, k2), 2),
-        bp.correlated_joint(c, k1, k2),
+        bp.biphoton_joint(c, k1, k2),
         bp.correlated_marginal(c, k1, k2),
         bp.single_coherent(phi, k1),
     ]

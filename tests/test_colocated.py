@@ -28,8 +28,6 @@ from biphoton import (
     localized_pair_mixture,
     make_grid,
     marginal_from_joint,
-    mixture_joint,
-    mixture_singles,
     parse_scenario,
     run_scenario,
     schmidt_spectrum,
@@ -115,11 +113,11 @@ def test_correlated_component_equals_its_localized_expansion(n, kind):
     assert len(expanded.components) == 2 + n - 1
     k1, k2 = _kernel(kind, rng, g), _kernel(kind, rng, g)
     assert k1.factored == (kind != "dense")
-    assert rel_linf(mixture_joint(batch, k1, k2).values,
-                    mixture_joint(expanded, k1, k2).values) <= TOL
+    assert rel_linf(biphoton_joint(batch, k1, k2).values,
+                    biphoton_joint(expanded, k1, k2).values) <= TOL
     for arm, k in ((1, k1), (2, k2)):
-        assert rel_linf(mixture_singles(batch, k, arm).values,
-                        mixture_singles(expanded, k, arm).values) <= TOL
+        assert rel_linf(biphoton_singles(batch, k, arm).values,
+                        biphoton_singles(expanded, k, arm).values) <= TOL
 
 
 def _document(variants: list, measurements: list) -> dict:

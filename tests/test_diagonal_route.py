@@ -19,9 +19,6 @@ from biphoton import (
     make_grid,
     marginal_from_joint,
     measure,
-    mixture_joint,
-    mixture_marginal,
-    mixture_singles,
     parse_scenario,
     run_scenario,
     scenarios,
@@ -84,7 +81,7 @@ def test_diagonal_route_matches_dense_products(case):
     mix = BiphotonMixture(((1.0, s),))
 
     ref = dense_joint(s, k1, k2)
-    for joint in (biphoton_joint(s, k1, k2), mixture_joint(mix, k1, k2)):
+    for joint in (biphoton_joint(s, k1, k2), biphoton_joint(mix, k1, k2)):
         assert rel_linf(joint.values, ref) <= TOL
         if real_diagonal:
             # H @ diag(d) and H * d share every product and every sum.
@@ -92,14 +89,14 @@ def test_diagonal_route_matches_dense_products(case):
     for arm, k in ((1, k1), (2, k2)):
         ref_s = dense_singles(s, k, arm)
         assert rel_linf(biphoton_singles(s, k, arm).values, ref_s) <= TOL
-        assert rel_linf(mixture_singles(mix, k, arm).values, ref_s) <= TOL
+        assert rel_linf(biphoton_singles(mix, k, arm).values, ref_s) <= TOL
     joint = biphoton_joint(s, k1, k2)
     for arm, axis, dx in ((1, 1, k2.grid_out.dx), (2, 0, k1.grid_out.dx)):
         ref_m = ref.sum(axis=axis) * dx
         ref_m = ref_m / (ref_m.sum() * (k1 if arm == 1 else k2).grid_out.dx)
         assert rel_linf(marginal_from_joint(joint, arm).values, ref_m) <= TOL
-        k_obs, k_other = (k1, k2) if arm == 1 else (k2, k1)
-        assert rel_linf(mixture_marginal(mix, k_obs, k_other, arm).values, ref_m) <= TOL
+        assert rel_linf(marginal_from_joint(biphoton_joint(mix, k1, k2), arm).values,
+                        ref_m) <= TOL
 
 
 def _dense_cases():
@@ -139,9 +136,9 @@ def test_localized_components_hold_their_diagonal():
     assert all(s.diagonal is None for _, s in held.components)
     rng = np.random.default_rng(SEED)
     k1, k2 = random_kernel(rng, g), random_kernel(rng, g)
-    assert np.array_equal(mixture_joint(mix, k1, k2).values, mixture_joint(held, k1, k2).values)
-    assert rel_linf(mixture_singles(mix, k2, 2).values,
-                    mixture_singles(held, k2, 2).values) <= TOL
+    assert np.array_equal(biphoton_joint(mix, k1, k2).values, biphoton_joint(held, k1, k2).values)
+    assert rel_linf(biphoton_singles(mix, k2, 2).values,
+                    biphoton_singles(held, k2, 2).values) <= TOL
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,7 @@ from biphoton import (
     biphoton_singles,
     chain,
     correlated_from_intensity,
-    correlated_joint,
     correlated_marginal,
-    correlated_singles,
     entangled_delta,
     make_grid,
     single_coherent,
@@ -153,8 +151,8 @@ def test_measurements_on_factored_arms_match_dense():
             assert rel_linf(biphoton_singles(s, k, arm).values,
                             biphoton_singles(s, d, arm).values) <= TOL
     c = correlated_from_intensity(np.abs(phi.amp) ** 2, g)
-    assert rel_linf(correlated_joint(c, k1, k2).values, correlated_joint(c, d1, d2).values) <= TOL
-    assert rel_linf(correlated_singles(c, k1).values, correlated_singles(c, d1).values) <= TOL
+    assert rel_linf(biphoton_joint(c, k1, k2).values, biphoton_joint(c, d1, d2).values) <= TOL
+    assert rel_linf(biphoton_singles(c, k1, 1).values, biphoton_singles(c, d1, 1).values) <= TOL
     assert rel_linf(correlated_marginal(c, k2, k1).values,
                     correlated_marginal(c, d2, d1).values) <= TOL
     assert rel_linf(single_coherent(phi, k1).values, single_coherent(phi, d1).values) <= TOL

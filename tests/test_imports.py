@@ -34,10 +34,8 @@ _EXPORTS = {
     "errors": ("PhysicsError", "ValidationError"),
     "grid": ("Grid", "make_grid", "nearest_index"),
     "measure": ("Density1D", "Density2D", "ImageMetrics", "biphoton_joint", "biphoton_singles",
-                "correlated_joint", "correlated_marginal", "correlated_singles",
-                "entangled_marginal_closed", "image_metrics", "marginal_from_joint",
-                "mixture_joint", "mixture_marginal", "mixture_singles", "single_coherent",
-                "single_partially_coherent"),
+                "correlated_marginal", "entangled_marginal_closed", "image_metrics",
+                "marginal_from_joint", "single_coherent", "single_partially_coherent"),
     "optics": ("Custom", "ElementSpec", "FourierSystem", "FreeSpace", "Identity", "Kernel",
                "Mask", "Scatterer", "ThinLens", "chain", "circulant_matrix", "compose",
                "g_kernel", "kernel_of", "unitarity_defect", "with_scatterers"),
@@ -63,6 +61,30 @@ def test_parse_and_validate_load_no_numpy(tmp_path):
     loaded = set(proc.stdout.split())
     assert "biphoton.schema" in loaded
     assert loaded.isdisjoint(_NUMERICAL), sorted(loaded.intersection(_NUMERICAL))
+
+
+# Import every submodule, then run every demo writing all formats under argv[2].
+_LIBRARY_PROBE = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import biphoton
+for name in biphoton._SUBMODULES:
+    getattr(biphoton, name)
+for name, s in biphoton.demo_catalog().items():
+    biphoton.run_scenario(s, Path(sys.argv[2]) / name)
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_library_loads_no_scipy(tmp_path):
+    # scipy is a test extra only: the library and its demos must not need it.
+    proc = subprocess.run([sys.executable, "-c", _LIBRARY_PROBE, str(SRC), str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "biphoton.scenarios" in loaded
+    assert "scipy" not in loaded
 
 
 @pytest.mark.parametrize("home,name", [(m, n) for m, names in _EXPORTS.items() for n in names])

@@ -18,9 +18,7 @@ from biphoton import (
     chain,
     circulant_matrix,
     correlated_from_intensity,
-    correlated_joint,
     correlated_marginal,
-    correlated_singles,
     entangled_delta,
     entangled_marginal_closed,
     factorizable,
@@ -29,9 +27,6 @@ from biphoton import (
     localized_pair_mixture,
     make_grid,
     marginal_from_joint,
-    mixture_joint,
-    mixture_marginal,
-    mixture_singles,
     single_coherent,
     single_partially_coherent,
 )
@@ -204,7 +199,7 @@ def test_mixture_singles_matches_reduced_coherence(arm):
     gamma = sum(w * reduced_coherence(c, arm).coherence for w, c in mix.components)
     k = kernels[arm]
     expected = single_partially_coherent(SinglePhotonMixed(k.grid_in, gamma), k)
-    assert rel_linf(mixture_singles(mix, k, arm).values, expected.values) <= 1e-10
+    assert rel_linf(biphoton_singles(mix, k, arm).values, expected.values) <= 1e-10
 
 
 def test_marginal_from_joint_trivial():
@@ -281,7 +276,7 @@ def test_correlated_joint_point_source():
     g = make_grid(2, 1.0, 0.0)
     c = correlated_from_intensity(np.array([1.0, 0.0]), g)
     ident = kernel_of(Identity(), g)
-    p = correlated_joint(c, ident, ident)
+    p = biphoton_joint(c, ident, ident)
     assert np.allclose(p.values, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
 
 
@@ -292,12 +287,12 @@ def test_correlated_ops_match_mixture_oracle():
         c = correlated_from_intensity(rng.random(24), g)
         mix = localized_pair_mixture(c)
         k1, k2 = random_kernel(rng, g), random_kernel(rng, g)
-        assert rel_linf(correlated_joint(c, k1, k2).values,
-                        mixture_joint(mix, k1, k2).values) <= 1e-9
-        assert rel_linf(correlated_singles(c, k1, 1).values,
-                        mixture_singles(mix, k1, 1).values) <= 1e-9
+        assert rel_linf(biphoton_joint(c, k1, k2).values,
+                        biphoton_joint(mix, k1, k2).values) <= 1e-9
+        assert rel_linf(biphoton_singles(c, k1, 1).values,
+                        biphoton_singles(mix, k1, 1).values) <= 1e-9
         assert rel_linf(correlated_marginal(c, k1, k2).values,
-                        mixture_marginal(mix, k1, k2, 1).values) <= 1e-9
+                        marginal_from_joint(biphoton_joint(mix, k1, k2), 1).values) <= 1e-9
 
 
 def test_correlated_two_slit_shows_no_fringes():
@@ -310,7 +305,7 @@ def test_correlated_two_slit_shows_no_fringes():
     gamma[54] = gamma[74] = 1.0
     c = correlated_from_intensity(gamma, g)
     kf = kernel_of(FourierSystem(f, lam), g)
-    joint = correlated_joint(c, kf, kf)
+    joint = biphoton_joint(c, kf, kf)
     m = marginal_from_joint(joint, 2)
     assert image_metrics(m, (32, 96)).visibility < 1e-6
 
@@ -320,10 +315,10 @@ def test_correlated_singles_examples():
     g = make_grid(16, 0.4, 0.0)
     gamma = rng.random(16)
     c = correlated_from_intensity(gamma, g)
-    p = correlated_singles(c, kernel_of(Identity(), g), 1)
+    p = biphoton_singles(c, kernel_of(Identity(), g), 1)
     assert rel_linf(p.values, c.gamma) < 1e-12
     t = rng.random(16)
-    p2 = correlated_singles(c, kernel_of(Mask(t), g), 2)
+    p2 = biphoton_singles(c, kernel_of(Mask(t), g), 2)
     expected = c.gamma * t**2
     expected /= expected.sum() * g.dx
     assert rel_linf(p2.values, expected) < 1e-12
@@ -337,13 +332,13 @@ def test_correlated_marginal_collapses_for_lossless_and_circulant():
     # lossless gating arm: pure-phase thin lens
     k_lens = kernel_of(ThinLens(0.5, 5e-7), g)
     assert np.max(np.abs(correlated_marginal(c, k_obs, k_lens).values
-                         - correlated_singles(c, k_obs, 1).values)) <= \
-        1e-10 * correlated_singles(c, k_obs, 1).values.max()
+                         - biphoton_singles(c, k_obs, 1).values)) <= \
+        1e-10 * biphoton_singles(c, k_obs, 1).values.max()
     # shift-invariant (circulant) gating arm, lossy
     k_circ = Kernel(g, g, circulant_matrix(rng.normal(size=20) + 1j * rng.normal(size=20)))
     assert np.max(np.abs(correlated_marginal(c, k_obs, k_circ).values
-                         - correlated_singles(c, k_obs, 1).values)) <= \
-        1e-10 * correlated_singles(c, k_obs, 1).values.max()
+                         - biphoton_singles(c, k_obs, 1).values)) <= \
+        1e-10 * biphoton_singles(c, k_obs, 1).values.max()
 
 
 def test_correlated_marginal_remote_mask():
@@ -376,11 +371,11 @@ def test_mixture_single_component_matches_pure():
     s = entangled_delta(random_pure(rng, g))
     mix = BiphotonMixture(((1.0, s),))
     k1, k2 = random_kernel(rng, g), random_kernel(rng, g)
-    assert rel_linf(mixture_joint(mix, k1, k2).values,
+    assert rel_linf(biphoton_joint(mix, k1, k2).values,
                     biphoton_joint(s, k1, k2).values) < 1e-12
-    assert rel_linf(mixture_singles(mix, k2, 2).values,
+    assert rel_linf(biphoton_singles(mix, k2, 2).values,
                     biphoton_singles(s, k2, 2).values) < 1e-12
-    assert rel_linf(mixture_marginal(mix, k2, k1, 2).values,
+    assert rel_linf(marginal_from_joint(biphoton_joint(mix, k1, k2), 2).values,
                     marginal_from_joint(biphoton_joint(s, k1, k2), 2).values) < 1e-12
 
 
@@ -402,7 +397,7 @@ def test_mixture_blend_visibility_monotone():
     for w in [0.0, 0.25, 0.5, 0.75, 1.0]:
         comps = tuple([(w, ent)] + [((1 - w) * wi, si) for wi, si in loc.components])
         comps = tuple((wi / sum(c[0] for c in comps), si) for wi, si in comps)
-        m = mixture_marginal(BiphotonMixture(comps), k_obs, k_other, 2)
+        m = marginal_from_joint(biphoton_joint(BiphotonMixture(comps), k_other, k_obs), 2)
         vis.append(image_metrics(m, (16, 48)).visibility)
     assert all(b > a for a, b in zip(vis, vis[1:]))
     assert vis[0] < 0.05 and vis[-1] > 0.9

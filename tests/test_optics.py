@@ -292,3 +292,74 @@ def test_transposed_complex_matrix_non_finite_rejected(bad):
     for make in (lambda: Kernel(g, g, m.T), lambda: kernel_of(Custom(m.T), g)):
         with pytest.raises(ValidationError, match="non-finite"):
             make()
+
+
+# ---------------------------------------------------------------------------
+# Physics oracles for the kernels
+
+
+@pytest.mark.parametrize("ratio", [1.6, 2.4, 4.8, 14.4])
+def test_fresnel_kernel_matches_gaussian_closed_form(ratio):
+    """The impulse-response Fresnel kernel against the closed-form Fresnel
+    integral of exp(-x^2 / 2w^2), on the demo grid (n = 256, dx = 10 um,
+    lambda = 512 nm) with the `refocus` source waist. Above the critical
+    distance z_c = n dx^2 / lambda (5 cm here) the error is the truncation
+    of the input at the grid edge, under 1e-5 of the peak. Below z_c the
+    sampled chirp aliases: at 0.8 z_c (refocus's 4 cm) the error is 2.4e-2
+    of the peak, so that distance is not asserted."""
+    n, dx, lam, w = 256, 1e-5, 5.12e-7, 2.83e-4
+    g = make_grid(n, dx, 0.0)
+    z = ratio * n * dx**2 / lam
+    out = kernel_of(FreeSpace(z, lam), g).apply(np.exp(-g.points**2 / (2 * w**2)))
+    # int exp(-a x^2 + i b (x1 - x)^2) dx = sqrt(pi / (a - ib)) exp(i a b x1^2 / (a - ib))
+    a, b = 1 / (2 * w**2), np.pi / (lam * z)
+    exact = (np.exp(2j * np.pi * z / lam) / np.sqrt(1j * lam * z) * np.sqrt(np.pi / (a - 1j * b))
+             * np.exp(1j * a * b * g.points**2 / (a - 1j * b)))
+    assert np.max(np.abs(out - exact)) <= 1e-4 * np.max(np.abs(exact))
+
+
+def _transposed(e):
+    # Thin, free-space and Fourier kernels are symmetric on one grid.
+    return Custom(e.matrix.T) if isinstance(e, Custom) else e
+
+
+def _arm_kernel(specs, g, plane=None, scatterers=()):
+    h = chain(specs, g)
+    if scatterers:
+        h = with_scatterers(chain(specs[:plane], g), chain(specs[plane:], g), scatterers, h)
+    return h
+
+
+@pytest.mark.parametrize("scattering_arm", [None, 1, 2])
+def test_klyshko_unfolding(scattering_arm):
+    """A co-located pair amplitude diag(d) seen through two arms is the
+    kernel of one unfolded chain (the advanced-wave picture): arm 2
+    reversed with each element transposed, then a mask d / max|d|, then
+    arm 1, up to the factor dx max|d|. A scatterer plane of arm 2 moves to
+    its mirrored plane in the unfolded chain."""
+    rng = np.random.default_rng(SEED)
+    lam = 5.12e-7
+    g = make_grid(128, 1e-5, 3.7e-4)
+
+    def mask():
+        return Mask(rng.uniform(0.2, 1.0, g.n) * np.exp(2j * np.pi * rng.random(g.n)))
+
+    def custom():
+        m = rng.normal(size=(g.n, g.n)) + 1j * rng.normal(size=(g.n, g.n))
+        return Custom(m / (g.dx * np.sqrt(2 * g.n)))
+
+    arm1 = [mask(), FreeSpace(0.03, lam), ThinLens(0.07, lam), custom()]
+    arm2 = [FourierSystem(0.037, lam), mask(), FreeSpace(0.11, lam), custom(), mask()]
+    d = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
+    scat = [Scatterer(float(rng.choice(g.points)), 0.05 * complex(*rng.normal(size=2)))
+            for _ in range(2)]
+    p1, p2 = 2, 3
+    k1 = _arm_kernel(arm1, g, p1, scat if scattering_arm == 1 else ())
+    k2 = _arm_kernel(arm2, g, p2, scat if scattering_arm == 2 else ())
+    joint = k2.dot_t(k1.dot_diag(d)) * g.dx**2
+
+    peak = np.max(np.abs(d))
+    unfolded = [_transposed(e) for e in reversed(arm2)] + [Mask(d / peak)] + arm1
+    plane = {None: None, 1: len(arm2) + 1 + p1, 2: len(arm2) - p2}[scattering_arm]
+    ku = _arm_kernel(unfolded, g, plane, scat if scattering_arm else ())
+    assert rel_linf(joint, g.dx * peak * ku.matrix) <= 1e-12

@@ -153,10 +153,9 @@ def test_correlated_marginals_match_closed_form(tmp_path):
 @pytest.mark.parametrize("model", ["correlated", "single_mixed"])
 def test_correlated_runs_need_no_correlated_formulas(model, tmp_path, monkeypatch):
     def unused(*args, **kwargs):
-        raise AssertionError("the runner measures a correlated source as a mixture")
+        raise AssertionError("the runner takes every marginal from the joint")
 
-    for name in ("correlated_joint", "correlated_singles", "correlated_marginal"):
-        monkeypatch.setattr(measure, name, unused)
+    monkeypatch.setattr(measure, "correlated_marginal", unused)
     if model == "correlated":
         doc = _correlated_document(
             [{"kind": k} for k in ("joint", "singles_1", "singles_2", "marginal_1", "marginal_2")]

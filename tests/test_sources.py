@@ -16,7 +16,6 @@ from biphoton import (
     biphoton_joint,
     biphoton_singles,
     correlated_from_intensity,
-    correlated_singles,
     entangled_delta,
     factorizable,
     localized_pair_mixture,
@@ -188,7 +187,7 @@ def test_correlated_matches_entangled_singles():
     phi = random_pure(rng, g)
     c = correlated_from_intensity(np.abs(phi.amp) ** 2, g)
     k = random_kernel(rng, g)
-    p_corr = correlated_singles(c, k, 1)
+    p_corr = biphoton_singles(c, k, 1)
     p_ent = biphoton_singles(entangled_delta(phi), k, 1)
     assert rel_linf(p_corr.values, p_ent.values) < 1e-12
 
