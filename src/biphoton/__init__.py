@@ -14,7 +14,7 @@ as a module attribute.
 import importlib
 
 from .errors import PhysicsError, ValidationError
-from .grid import Grid, make_grid, nearest_index
+from .grid import Grid, make_grid
 from .schema import Scenario, parse_scenario, scenario_document, serialize_scenario
 
 __version__ = "0.1.0"
@@ -24,30 +24,27 @@ _LAZY = {
     **dict.fromkeys((
         "Density1D", "Density2D", "ImageMetrics", "biphoton_joint", "biphoton_singles",
         "correlated_marginal", "entangled_marginal_closed", "image_metrics",
-        "marginal_from_joint", "single_coherent", "single_partially_coherent",
+        "marginal_from_joint", "single_coherent",
     ), "measure"),
     **dict.fromkeys((
         "Custom", "ElementSpec", "FourierSystem", "FreeSpace", "Identity", "Kernel", "Mask",
-        "Scatterer", "ThinLens", "chain", "circulant_matrix", "compose", "g_kernel",
-        "kernel_of", "unitarity_defect", "with_scatterers",
+        "Scatterer", "ThinLens", "chain", "circulant_matrix", "g_kernel", "kernel_of",
+        "with_scatterers",
     ), "optics"),
-    **dict.fromkeys((
-        "CoincidenceCounts", "empirical_densities", "pearson_chi_square", "sample_joint",
-    ), "sampling"),
+    **dict.fromkeys(("CoincidenceCounts", "empirical_densities", "sample_joint"), "sampling"),
     **dict.fromkeys(("RunSummary", "demo_catalog", "run_scenario", "write_outputs"),
                     "scenarios"),
     **dict.fromkeys((
         "BiphotonMixture", "BiphotonPure", "CorrelatedPairSource", "SchmidtSpectrum",
-        "SinglePhotonMixed", "SinglePhotonPure", "SpdcParams", "correlated_from_intensity",
-        "entangled_delta", "factorizable", "localized_pair_mixture", "reduced_coherence",
-        "schmidt_spectrum", "spdc_amplitude",
+        "SinglePhotonPure", "SpdcParams", "correlated_from_intensity", "entangled_delta",
+        "factorizable", "localized_pair_mixture", "schmidt_spectrum", "spdc_amplitude",
     ), "sources"),
 }
 _SUBMODULES = ("cli", "demos", "errors", "grid", "measure", "optics", "profiles", "sampling",
                "scenarios", "schema", "sources")
 
-__all__ = ["Grid", "PhysicsError", "Scenario", "ValidationError", "make_grid", "nearest_index",
-           "parse_scenario", "scenario_document", "serialize_scenario", *_LAZY]
+__all__ = ["Grid", "PhysicsError", "Scenario", "ValidationError", "make_grid", "parse_scenario",
+           "scenario_document", "serialize_scenario", *_LAZY]
 
 
 def __getattr__(name: str):

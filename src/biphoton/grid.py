@@ -57,7 +57,7 @@ class Grid:
         lower index. x must lie within half a sample of the lattice ends."""
         first = self.point(0)
         last = self.point(self.n - 1)
-        if x < first - self.dx / 2 or x > last + self.dx / 2:
+        if not first - self.dx / 2 <= x <= last + self.dx / 2:  # NaN fails too
             raise ValidationError(
                 f"x={x!r} outside grid range [{first - self.dx / 2}, {last + self.dx / 2}]"
             )
@@ -74,7 +74,3 @@ class Grid:
 
 def make_grid(n: int, dx: float, center: float = 0.0) -> Grid:
     return Grid(n, dx, center)
-
-
-def nearest_index(g: Grid, x: float) -> int:
-    return g.nearest_index(x)

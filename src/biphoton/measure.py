@@ -1,23 +1,21 @@
 """Detection densities for every source/system combination.
 
-Single photons: coherent ( |integral phi h|^2 ) and partially coherent
-(double sum over the coherence matrix). Photon pairs: the joint coincidence
-density, per-arm singles with the other photon traced out, and the
-bucket-gated marginal (one detector scanned, the other photon accepted
+Single photons: coherent ( |integral phi h|^2 ). Photon pairs: the joint
+coincidence density, per-arm singles with the other photon traced out, and
+the bucket-gated marginal (one detector scanned, the other photon accepted
 anywhere).
 
 Pure-pair singles are row sums of |H A|^2, one matrix product: the same
 double sum as partially coherent imaging of the reduced coherence matrix,
 with the trace over the other photon taken last, so that matrix is never
-formed. ``sources.reduced_coherence`` stays the reference the tests compare
-against.
+formed.
 
 Pair densities reach a kernel only through ``Kernel.dot`` (H A),
 ``Kernel.dot_diag`` (H diag(d)), ``Kernel.dot_t`` (A H^T) and
 ``Kernel.abs2`` (|H|^2), so a factored Fourier arm is applied by FFT and a
 dense one by matrix products (see ``optics``). The partially coherent
-engine, used by the mixed single-photon oracle and the entangled closed
-form, reads ``Kernel.matrix``.
+engine ``_coherence_density_raw``, used by the entangled closed form,
+reads ``Kernel.matrix``.
 
 A co-located pair state (``BiphotonPure.colocated``: the ideal entangled
 source, each ``localized`` component, an SPDC state whose off-diagonal
@@ -53,7 +51,6 @@ from .sources import (
     BiphotonMixture,
     BiphotonPure,
     CorrelatedPairSource,
-    SinglePhotonMixed,
     SinglePhotonPure,
 )
 
@@ -155,13 +152,6 @@ def _coherence_density_raw(gamma: np.ndarray, k: Kernel) -> np.ndarray:
     t = h @ gamma
     vals = np.einsum("ai,ai->a", t, h.conj()) * k.grid_in.dx**2
     return _clip_nonnegative(vals, "partially coherent density")
-
-
-def single_partially_coherent(s: SinglePhotonMixed, k: Kernel) -> Density1D:
-    """Partially coherent system driven by the coherence matrix gamma."""
-    if s.grid != k.grid_in:
-        raise ValidationError("single_partially_coherent: source grid must match kernel input")
-    return _norm_1d(_coherence_density_raw(s.coherence, k), k.grid_out, "output density")
 
 
 # ---------------------------------------------------------------------------

@@ -277,13 +277,6 @@ def kernel_of(element: ElementSpec, grid_in: Grid, grid_out: Grid | None = None)
     return Kernel(grid_in, grid_out, h)
 
 
-def compose(k2: Kernel, k1: Kernel) -> Kernel:
-    """Cascade k1 then k2: H = H2 @ H1 * dx at the intermediate plane."""
-    if k1.grid_out != k2.grid_in:
-        raise ValidationError("compose: k1.grid_out must equal k2.grid_in")
-    return Kernel(k1.grid_in, k2.grid_out, k2.matrix @ k1.matrix * k1.grid_out.dx)
-
-
 def _chain_matrix(elements, grid: Grid) -> np.ndarray:
     """Dense matrix of a chain, each thin element applied as a scaling."""
     lead = np.ones(grid.n, dtype=complex)  # thin elements before the first dense one
@@ -328,9 +321,10 @@ def _dft_phases(e: FourierSystem, grid: Grid) -> tuple[np.ndarray, np.ndarray] |
 def chain(elements, grid: Grid) -> Kernel:
     """Compose a sequence of elements on one grid; empty sequence = identity.
 
-    Equal to folding ``compose`` over the element kernels, with each thin
-    element applied as a scaling instead of a matrix product. Thin-only
-    chains and matched-sampling Fourier chains come back factored.
+    Equal to cascading the element kernels, H = H_L ... H_1 with a factor
+    dx per intermediate plane, with each thin element applied as a scaling
+    instead of a matrix product. Thin-only chains and matched-sampling
+    Fourier chains come back factored.
     """
     elements = list(elements)
     build = functools.partial(_chain_matrix, elements, grid)
@@ -386,18 +380,6 @@ def with_scatterers(
         j = mid.nearest_index(s.position)
         h += complex(s.strength) * np.outer(h_after.matrix[:, j], h_before.matrix[j, :]) * mid.dx
     return Kernel(h_o.grid_in, h_o.grid_out, h)
-
-
-def unitarity_defect(k: Kernel) -> float:
-    """Max-entry deviation of H†H * dx_out * dx_in from the identity.
-
-    Zero for discretely lossless (energy preserving) square kernels.
-    """
-    if k.grid_in.n != k.grid_out.n:
-        raise ValidationError("unitarity_defect needs a square kernel")
-    h = k.matrix
-    m = (h.conj().T @ h) * (k.grid_out.dx * k.grid_in.dx)
-    return float(np.max(np.abs(m - np.eye(k.grid_in.n))))
 
 
 def circulant_matrix(column: np.ndarray) -> np.ndarray:

@@ -79,19 +79,3 @@ def empirical_densities(c: CoincidenceCounts) -> tuple[Density2D, Density1D, Den
     m1 = Density1D(c.grid1, c.counts.sum(axis=1) / (c.total * dx1))
     m2 = Density1D(c.grid2, c.counts.sum(axis=0) / (c.total * dx2))
     return joint, m1, m2
-
-
-def pearson_chi_square(c: CoincidenceCounts, p: Density2D) -> tuple[float, int]:
-    """Pearson chi^2 of the counts against expectations n * p * dx1 * dx2.
-
-    Cells with exactly zero expected probability are excluded (they are
-    degenerate in the statistic). Returns (statistic, degrees of freedom =
-    included cells - 1).
-    """
-    expected = (p.values * (p.grid1.dx * p.grid2.dx)).ravel() * c.total
-    observed = c.counts.ravel()
-    mask = expected > 0
-    if observed[~mask].sum() > 0:
-        raise PhysicsError("observed counts in zero-probability cells")
-    stat = float((((observed[mask] - expected[mask]) ** 2) / expected[mask]).sum())
-    return stat, int(mask.sum() - 1)

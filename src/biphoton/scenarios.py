@@ -80,11 +80,10 @@ def _build_element(e: ElementCfg, grid: Grid, wavelength: float):
 def _build_arm(elements: tuple[ElementCfg, ...], scat: ScatterersCfg | None,
                grid: Grid, wavelength: float) -> Kernel:
     specs = [_build_element(e, grid, wavelength) for e in elements]
-    base = chain(specs, grid)
     if scat is None:
-        return base
+        return chain(specs, grid)
     # Each plane's scatterers are added to the running response.
-    h = base if scat.background == "direct" else Kernel(
+    h = chain(specs, grid) if scat.background == "direct" else Kernel(
         grid, grid, np.zeros((grid.n, grid.n), dtype=complex))
     by_plane: dict[int, list[ScattererItemCfg]] = {}
     for it in scat.items:

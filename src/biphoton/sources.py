@@ -1,4 +1,4 @@
-"""Source states: single-photon pure/mixed, pure biphotons, SPDC pairs and
+"""Source states: pure single photons, pure biphotons, SPDC pairs and
 classically correlated pair mixtures.
 
 Dirac deltas on the lattice become Kronecker deltas scaled by 1/sqrt(dx)
@@ -16,7 +16,6 @@ from .errors import ValidationError
 from .grid import Grid
 
 NORM_TOL = 1e-10
-PSD_TOL = 1e-10
 
 
 def _as_complex_vector(values, n: int, what: str) -> np.ndarray:
@@ -47,34 +46,6 @@ class SinglePhotonPure:
         if norm == 0:
             raise ValidationError("cannot normalize an all-zero amplitude")
         return cls(grid, a / norm)
-
-
-@dataclass(frozen=True)
-class SinglePhotonMixed:
-    """Mixed single-photon state with coherence matrix gamma(x, x'),
-    units 1/length: Hermitian, positive semidefinite, unit trace."""
-
-    grid: Grid
-    coherence: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.coherence, dtype=complex)
-        n = self.grid.n
-        if g.shape != (n, n):
-            raise ValidationError(f"coherence shape {g.shape} does not match grid ({n}, {n})")
-        if not np.all(np.isfinite(g)):
-            raise ValidationError("coherence matrix contains non-finite entries")
-        scale = max(np.max(np.abs(g)), 1e-300)
-        if np.max(np.abs(g - g.conj().T)) > 1e-9 * scale:
-            raise ValidationError("coherence matrix is not Hermitian")
-        trace = np.real(np.trace(g)) * self.grid.dx
-        if not abs(trace - 1.0) <= NORM_TOL:
-            raise ValidationError(f"coherence trace integral must be 1, got {trace!r}")
-        # Spectrum of gamma*dx is the dimensionless mode-weight distribution.
-        w = np.linalg.eigvalsh((g + g.conj().T) / 2) * self.grid.dx
-        if w.min() < -PSD_TOL:
-            raise ValidationError(f"coherence matrix not positive semidefinite (min weight {w.min()})")
-        object.__setattr__(self, "coherence", g)
 
 
 class BiphotonPure:
@@ -248,8 +219,6 @@ def spdc_amplitude(params: SpdcParams, grid: Grid) -> BiphotonPure:
     and comes back from ``BiphotonPure.colocated`` with d[i] = q[2i].
     """
     pump = _as_complex_vector(params.pump, grid.n, "pump")
-    if not np.any(pump):
-        raise ValidationError("pump must not be all zero")
     if not np.any(pump.imag):
         pump = pump.real
     n, dx, b = grid.n, grid.dx, params.pm_width
@@ -266,20 +235,6 @@ def spdc_amplitude(params: SpdcParams, grid: Grid) -> BiphotonPure:
     i = np.arange(n)
     amp = e[np.subtract.outer(i, i) + (n - 1)] * q[np.add.outer(i, i)]
     return BiphotonPure.normalized(grid, grid, amp)
-
-
-def reduced_coherence(s: BiphotonPure, arm: int) -> SinglePhotonMixed:
-    """Coherence matrix of one photon with the other traced out:
-
-        arm 1: gamma(x, x') = sum_x'' amp(x, x'') conj(amp(x', x'')) dx2
-        arm 2: gamma(x, x') = sum_x'' amp(x'', x) conj(amp(x'', x')) dx1
-    """
-    a = s.amp
-    if arm == 1:
-        return SinglePhotonMixed(s.grid1, (a @ a.conj().T) * s.grid2.dx)
-    if arm == 2:
-        return SinglePhotonMixed(s.grid2, (a.T @ a.conj()) * s.grid1.dx)
-    raise ValidationError(f"arm must be 1 or 2, got {arm!r}")
 
 
 @dataclass(frozen=True)

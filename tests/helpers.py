@@ -6,7 +6,17 @@ import math
 
 import numpy as np
 
-from biphoton import Grid, Kernel, SinglePhotonPure
+from biphoton import (
+    BiphotonPure,
+    Density2D,
+    Grid,
+    Kernel,
+    PhysicsError,
+    SinglePhotonPure,
+    ValidationError,
+)
+from biphoton.measure import _coherence_density_raw
+from biphoton.sampling import CoincidenceCounts
 
 
 def random_kernel(rng: np.random.Generator, grid: Grid) -> Kernel:
@@ -29,6 +39,61 @@ def random_pure(rng: np.random.Generator, grid: Grid) -> SinglePhotonPure:
 def rel_linf(a: np.ndarray, b: np.ndarray) -> float:
     """max |a - b| relative to max |b|."""
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+# ---------------------------------------------------------------------------
+# Dense reference routes: the matrices the library's routes avoid forming.
+
+
+def reduced_coherence(s: BiphotonPure, arm: int) -> np.ndarray:
+    """Coherence matrix of one photon with the other traced out:
+
+        arm 1: gamma(x, x') = sum_x'' amp(x, x'') conj(amp(x', x'')) dx2
+        arm 2: gamma(x, x') = sum_x'' amp(x'', x) conj(amp(x'', x')) dx1
+    """
+    a = s.amp
+    if arm == 1:
+        return (a @ a.conj().T) * s.grid2.dx
+    if arm == 2:
+        return (a.T @ a.conj()) * s.grid1.dx
+    raise ValueError(arm)
+
+
+def partially_coherent(gamma: np.ndarray, k: Kernel) -> np.ndarray:
+    """Normalized density of a photon with coherence matrix gamma imaged by
+    k: the double sum of ``measure._coherence_density_raw``."""
+    vals = _coherence_density_raw(gamma, k)
+    return vals / (vals.sum() * k.grid_out.dx)
+
+
+def compose(k2: Kernel, k1: Kernel) -> Kernel:
+    """Cascade k1 then k2: H = H2 @ H1 * dx at the intermediate plane."""
+    if k1.grid_out != k2.grid_in:
+        raise ValidationError("compose: k1.grid_out must equal k2.grid_in")
+    return Kernel(k1.grid_in, k2.grid_out, k2.matrix @ k1.matrix * k1.grid_out.dx)
+
+
+def unitarity_defect(k: Kernel) -> float:
+    """Max-entry deviation of H'H * dx_out * dx_in from the identity; zero
+    for discretely lossless (energy preserving) square kernels."""
+    if k.grid_in.n != k.grid_out.n:
+        raise ValidationError("unitarity_defect needs a square kernel")
+    h = k.matrix
+    m = (h.conj().T @ h) * (k.grid_out.dx * k.grid_in.dx)
+    return float(np.max(np.abs(m - np.eye(k.grid_in.n))))
+
+
+def pearson_chi_square(c: CoincidenceCounts, p: Density2D) -> tuple[float, int]:
+    """Pearson chi^2 of the counts against expectations n * p * dx1 * dx2,
+    over the cells with non-zero expectation; returns (statistic, degrees
+    of freedom = included cells - 1)."""
+    expected = (p.values * (p.grid1.dx * p.grid2.dx)).ravel() * c.total
+    observed = c.counts.ravel()
+    mask = expected > 0
+    if observed[~mask].sum() > 0:
+        raise PhysicsError("observed counts in zero-probability cells")
+    stat = float((((observed[mask] - expected[mask]) ** 2) / expected[mask]).sum())
+    return stat, int(mask.sum() - 1)
 
 
 # ---------------------------------------------------------------------------

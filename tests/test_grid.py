@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from biphoton import Grid, ValidationError, make_grid, nearest_index
+from biphoton import (
+    Grid,
+    Identity,
+    Scatterer,
+    ValidationError,
+    kernel_of,
+    make_grid,
+    profiles,
+    with_scatterers,
+)
 
 SEED = 20260401
 
@@ -30,20 +39,32 @@ def test_make_grid_rejects_bad_args(n, dx):
 
 def test_nearest_index_examples():
     g3 = make_grid(3, 0.5, 0.0)
-    assert nearest_index(g3, 0.1) == 1
-    assert nearest_index(g3, -0.26) == 0  # |−0.26−(−0.5)| < |−0.26−0|
+    assert g3.nearest_index(0.1) == 1
+    assert g3.nearest_index(-0.26) == 0  # |−0.26−(−0.5)| < |−0.26−0|
     g2 = make_grid(2, 1.0, 0.0)
-    assert nearest_index(g2, 0.0) == 0  # exact tie broken toward the lower index
+    assert g2.nearest_index(0.0) == 0  # exact tie broken toward the lower index
 
 
 def test_nearest_index_range_check():
     g = make_grid(3, 0.5, 0.0)
-    assert nearest_index(g, -0.75) == 0  # exactly half a sample below the first point
-    assert nearest_index(g, 0.75) == 2
+    assert g.nearest_index(-0.75) == 0  # exactly half a sample below the first point
+    assert g.nearest_index(0.75) == 2
     with pytest.raises(ValidationError):
-        nearest_index(g, 0.76)
+        g.nearest_index(0.76)
     with pytest.raises(ValidationError):
-        nearest_index(g, -0.9)
+        g.nearest_index(-0.9)
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_nearest_index_rejects_non_finite(x):
+    g = make_grid(3, 0.5, 0.0)
+    ident = kernel_of(Identity(), g)
+    with pytest.raises(ValidationError):
+        g.nearest_index(x)
+    with pytest.raises(ValidationError):
+        profiles.delta(g, x)
+    with pytest.raises(ValidationError):
+        with_scatterers(ident, ident, [Scatterer(x, 1.0)], ident)
 
 
 def test_quadrature_constant_exact():
@@ -68,7 +89,7 @@ def test_nearest_index_roundtrip_property():
         n = int(rng.integers(2, 64))
         g = make_grid(n, float(rng.uniform(0.01, 2.0)), float(rng.uniform(-3, 3)))
         for i in range(n):
-            assert g.point(nearest_index(g, g.point(i))) == g.point(i)
+            assert g.point(g.nearest_index(g.point(i))) == g.point(i)
 
 
 def test_grid_equality_and_span():

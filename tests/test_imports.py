@@ -32,22 +32,20 @@ _NUMERICAL = ("numpy", "biphoton.measure", "biphoton.optics", "biphoton.sources"
 # lazy), by the module that defines them.
 _EXPORTS = {
     "errors": ("PhysicsError", "ValidationError"),
-    "grid": ("Grid", "make_grid", "nearest_index"),
+    "grid": ("Grid", "make_grid"),
     "measure": ("Density1D", "Density2D", "ImageMetrics", "biphoton_joint", "biphoton_singles",
                 "correlated_marginal", "entangled_marginal_closed", "image_metrics",
-                "marginal_from_joint", "single_coherent", "single_partially_coherent"),
+                "marginal_from_joint", "single_coherent"),
     "optics": ("Custom", "ElementSpec", "FourierSystem", "FreeSpace", "Identity", "Kernel",
-               "Mask", "Scatterer", "ThinLens", "chain", "circulant_matrix", "compose",
-               "g_kernel", "kernel_of", "unitarity_defect", "with_scatterers"),
-    "sampling": ("CoincidenceCounts", "empirical_densities", "pearson_chi_square",
-                 "sample_joint"),
+               "Mask", "Scatterer", "ThinLens", "chain", "circulant_matrix", "g_kernel",
+               "kernel_of", "with_scatterers"),
+    "sampling": ("CoincidenceCounts", "empirical_densities", "sample_joint"),
     "scenarios": ("RunSummary", "demo_catalog", "run_scenario", "write_outputs"),
     "schema": ("Scenario", "parse_scenario", "scenario_document", "serialize_scenario"),
     "sources": ("BiphotonMixture", "BiphotonPure", "CorrelatedPairSource", "SchmidtSpectrum",
-                "SinglePhotonMixed", "SinglePhotonPure", "SpdcParams",
-                "correlated_from_intensity", "entangled_delta", "factorizable",
-                "localized_pair_mixture", "reduced_coherence", "schmidt_spectrum",
-                "spdc_amplitude"),
+                "SinglePhotonPure", "SpdcParams", "correlated_from_intensity",
+                "entangled_delta", "factorizable", "localized_pair_mixture",
+                "schmidt_spectrum", "spdc_amplitude"),
 }
 
 

@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from helpers import random_kernel, random_pure, random_unitary_kernel, rel_linf
+from helpers import (
+    partially_coherent,
+    random_kernel,
+    random_pure,
+    random_unitary_kernel,
+    reduced_coherence,
+    rel_linf,
+)
 
 from biphoton import (
     Density1D,
@@ -9,7 +16,6 @@ from biphoton import (
     Kernel,
     Mask,
     PhysicsError,
-    SinglePhotonMixed,
     SinglePhotonPure,
     ThinLens,
     ValidationError,
@@ -28,9 +34,8 @@ from biphoton import (
     make_grid,
     marginal_from_joint,
     single_coherent,
-    single_partially_coherent,
 )
-from biphoton.sources import BiphotonMixture, BiphotonPure, reduced_coherence
+from biphoton.sources import BiphotonMixture, BiphotonPure
 
 SEED = 20260404
 
@@ -88,10 +93,9 @@ def test_partially_coherent_recovers_coherent_limit():
     g = make_grid(20, 0.23, 0.0)
     phi = random_pure(rng, g)
     k = random_kernel(rng, g)
-    mixed = SinglePhotonMixed(g, np.outer(phi.amp, phi.amp.conj()))
-    p_mixed = single_partially_coherent(mixed, k)
+    p_mixed = partially_coherent(np.outer(phi.amp, phi.amp.conj()), k)
     p_pure = single_coherent(phi, k)
-    assert rel_linf(p_mixed.values, p_pure.values) < 1e-12
+    assert rel_linf(p_mixed, p_pure.values) < 1e-12
 
 
 def test_partially_coherent_incoherent_limit():
@@ -100,18 +104,18 @@ def test_partially_coherent_incoherent_limit():
     weights = rng.random(20)
     weights /= weights.sum() * g.dx
     k = random_kernel(rng, g)
-    p = single_partially_coherent(SinglePhotonMixed(g, np.diag(weights).astype(complex)), k)
+    p = partially_coherent(np.diag(weights).astype(complex), k)
     expected = (np.abs(k.matrix) ** 2) @ weights * g.dx
     expected /= expected.sum() * g.dx
-    assert rel_linf(p.values, expected) < 1e-12
+    assert rel_linf(p, expected) < 1e-12
 
 
 def test_partially_coherent_uniform():
     n = 8
     g = make_grid(n, 0.5, 0.0)
     gamma = np.eye(n) / (n * g.dx)
-    p = single_partially_coherent(SinglePhotonMixed(g, gamma), kernel_of(Identity(), g))
-    assert np.allclose(p.values, 1 / (n * g.dx), rtol=1e-12)
+    p = partially_coherent(gamma, kernel_of(Identity(), g))
+    assert np.allclose(p, 1 / (n * g.dx), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +186,8 @@ def test_biphoton_singles_matches_reduced_coherence(arm):
     rng = np.random.default_rng(SEED)
     s, kernels = _two_grid_pair(rng)
     k = kernels[arm]
-    expected = single_partially_coherent(reduced_coherence(s, arm), k)
-    assert rel_linf(biphoton_singles(s, k, arm).values, expected.values) <= 1e-10
+    expected = partially_coherent(reduced_coherence(s, arm), k)
+    assert rel_linf(biphoton_singles(s, k, arm).values, expected) <= 1e-10
     with pytest.raises(ValidationError):
         biphoton_singles(s, kernels[3 - arm], arm)
 
@@ -196,10 +200,10 @@ def test_mixture_singles_matches_reduced_coherence(arm):
     s, kernels = _two_grid_pair(rng)
     others = [_two_grid_pair(rng)[0] for _ in range(2)]
     mix = BiphotonMixture(((0.5, s), (0.3, others[0]), (0.2, others[1])))
-    gamma = sum(w * reduced_coherence(c, arm).coherence for w, c in mix.components)
+    gamma = sum(w * reduced_coherence(c, arm) for w, c in mix.components)
     k = kernels[arm]
-    expected = single_partially_coherent(SinglePhotonMixed(k.grid_in, gamma), k)
-    assert rel_linf(biphoton_singles(mix, k, arm).values, expected.values) <= 1e-10
+    expected = partially_coherent(gamma, k)
+    assert rel_linf(biphoton_singles(mix, k, arm).values, expected) <= 1e-10
 
 
 def test_marginal_from_joint_trivial():

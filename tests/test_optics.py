@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import random_kernel, random_unitary_kernel, rel_linf
+from helpers import compose, random_kernel, random_unitary_kernel, rel_linf, unitarity_defect
 
 from biphoton import (
     Custom,
@@ -15,13 +15,11 @@ from biphoton import (
     ValidationError,
     chain,
     circulant_matrix,
-    compose,
     g_kernel,
     image_metrics,
     kernel_of,
     make_grid,
     single_coherent,
-    unitarity_defect,
     with_scatterers,
 )
 

@@ -1,22 +1,20 @@
 """Runner routes that skip dense intermediate matrices: ``single_mixed``
 sources are measured without a coherence matrix, and each scatterer plane
 is added to the running arm response. The references rebuild the dense
-routes: a ``SinglePhotonMixed`` coherence matrix imaged by
-``single_partially_coherent``, and each plane's scatterers summed into a
-zero kernel and then added. A correlated source is measured as a mixture,
-its marginals from its joint; the reference is the closed form
-``correlated_marginal``."""
+routes: a coherence matrix imaged by ``helpers.partially_coherent``, and
+each plane's scatterers summed into a zero kernel and then added. A
+correlated source is measured as a mixture, its marginals from its joint;
+the reference is the closed form ``correlated_marginal``."""
 
 import json
 
 import numpy as np
 import pytest
-from helpers import rel_linf
+from helpers import partially_coherent, rel_linf, unitarity_defect
 
 from biphoton import (
     Kernel,
     Scatterer,
-    SinglePhotonMixed,
     SinglePhotonPure,
     chain,
     correlated_from_intensity,
@@ -25,8 +23,6 @@ from biphoton import (
     parse_scenario,
     run_scenario,
     scenarios,
-    single_partially_coherent,
-    unitarity_defect,
     with_scatterers,
 )
 
@@ -77,7 +73,7 @@ def test_single_mixed_matches_dense_coherence_route(model, tmp_path, monkeypatch
     else:
         intensity = np.abs(profile)
         gamma = np.diag(intensity / (intensity.sum() * DX)).astype(complex)
-    ref = single_partially_coherent(SinglePhotonMixed(s.grid, gamma), k).values
+    ref = partially_coherent(gamma, k)
     assert unitarity_defect(k) > 0.1  # lossy
     assert rel_linf(got, ref) <= TOL
 

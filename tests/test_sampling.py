@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import pearson_chi_square
 from scipy import stats
 
 from biphoton import (
@@ -8,7 +9,6 @@ from biphoton import (
     ValidationError,
     empirical_densities,
     make_grid,
-    pearson_chi_square,
     sample_joint,
     sampling,
 )

@@ -12,6 +12,7 @@ from biphoton import (
     run_scenario,
     scenario_document,
     scenarios,
+    schema,
     serialize_scenario,
 )
 from biphoton.cli import main as cli_main
@@ -20,6 +21,7 @@ from biphoton.measure import Density1D, Density2D
 from biphoton.grid import Grid
 from biphoton.optics import Mask
 from biphoton.sampling import CoincidenceCounts
+from biphoton.schema import ProfileCfg
 from biphoton.sources import SchmidtSpectrum
 
 
@@ -288,6 +290,36 @@ def test_cli_physics_error_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli_main(["run", str(path)]) == 3
 
+
+# Off-centre grid with dyadic points -0.5, 0, 0.5, ..., 3.0, so the tie and
+# edge cases below are exact.
+_PROFILE_GRID = Grid(8, 0.5, 1.25)
+_X = np.array([-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+# Each named profile's parameters and its closed form on _PROFILE_GRID.
+_PROFILE_CASES = {
+    "gaussian": ({"waist": 0.75, "center": 1.0}, np.exp(-(_X - 1.0) ** 2 / (2 * 0.75**2))),
+    "gaussian_aperture": ({"width": 0.75, "center": 1.0},
+                          np.exp(-(_X - 1.0) ** 2 / (2 * 0.75**2))),
+    "uniform": ({}, np.ones(8)),
+    # 0.25 is equally far from 0.0 (index 1) and 0.5 (index 2): the lower wins
+    "delta": ({"position": 0.25}, np.eye(8)[1]),
+    # slits of width 1 at +/-0.5, edges included: x in {-0.5, 0, 0.5, 1}
+    "double_slit": ({"separation": 1.0, "width": 1.0}, np.array([1.0] * 4 + [0.0] * 4)),
+    # 1 for x >= 1.0, the position itself included
+    "step_edge": ({"position": 1.0}, np.array([0.0] * 3 + [1.0] * 5)),
+    "array": ({"values": [0.5j, 1.0, 2.0, 0.0, -1.5, 3.0, 1j, 0.25]},
+              np.array([0.5j, 1.0, 2.0, 0.0, -1.5, 3.0, 1j, 0.25])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(schema._PROFILE.fields.tables))
+def test_every_profile_kind_matches_its_closed_form(kind):
+    assert kind in _PROFILE_CASES, f"no closed-form case for profile {kind!r}"
+    assert np.array_equal(_PROFILE_GRID.points, _X)
+    params, expected = _PROFILE_CASES[kind]
+    got = scenarios._resolve_profile(ProfileCfg(kind, params), _PROFILE_GRID)
+    assert got.shape == (8,)
+    assert np.allclose(got, expected, rtol=1e-15, atol=0)
 
 @pytest.mark.parametrize("t", [1 + 5e-10, 1 + 2e-9, complex(0.6, 0.8), complex(-0.6, 0.81)])
 def test_mask_array_bound_matches_mask(t):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import random_kernel, random_pure, rel_linf
+from helpers import random_kernel, random_pure, reduced_coherence, rel_linf
 
 from biphoton import (
     BiphotonMixture,
@@ -9,7 +9,6 @@ from biphoton import (
     Density1D,
     Density2D,
     Mask,
-    SinglePhotonMixed,
     SinglePhotonPure,
     SpdcParams,
     ValidationError,
@@ -20,7 +19,6 @@ from biphoton import (
     factorizable,
     localized_pair_mixture,
     make_grid,
-    reduced_coherence,
     schmidt_spectrum,
     spdc_amplitude,
 )
@@ -71,7 +69,7 @@ def test_entangled_delta_reduced_coherence_diagonal():
     g = make_grid(9, 0.7, 0.0)
     phi = random_pure(rng, g)
     for arm in (1, 2):
-        gamma = reduced_coherence(entangled_delta(phi), arm).coherence
+        gamma = reduced_coherence(entangled_delta(phi), arm)
         assert np.allclose(gamma, np.diag(np.abs(phi.amp) ** 2), rtol=1e-12, atol=1e-12)
 
 
@@ -135,9 +133,9 @@ def test_reduced_coherence_factorizable():
     rng = np.random.default_rng(SEED)
     g = make_grid(11, 0.6, 0.0)
     phi1, phi2 = random_pure(rng, g), random_pure(rng, g)
-    gamma = reduced_coherence(factorizable(phi1, phi2), 1).coherence
+    gamma = reduced_coherence(factorizable(phi1, phi2), 1)
     assert rel_linf(gamma, np.outer(phi1.amp, phi1.amp.conj())) < 1e-12
-    gamma2 = reduced_coherence(factorizable(phi1, phi2), 2).coherence
+    gamma2 = reduced_coherence(factorizable(phi1, phi2), 2)
     assert rel_linf(gamma2, np.outer(phi2.amp, phi2.amp.conj())) < 1e-12
 
 
@@ -148,7 +146,7 @@ def test_reduced_coherence_unit_trace_and_psd():
         amp = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         s = BiphotonPure.normalized(g, g, amp)
         for arm in (1, 2):
-            gamma = reduced_coherence(s, arm).coherence
+            gamma = reduced_coherence(s, arm)
             assert np.trace(gamma).real * g.dx == pytest.approx(1.0, abs=1e-10)
             assert np.max(np.abs(gamma - gamma.conj().T)) < 1e-12 * np.max(np.abs(gamma))
             # dimensionless mode weights of the traced-out photon
@@ -228,14 +226,6 @@ def test_validation_rejects_unnormalized_and_non_hermitian():
         SinglePhotonPure(g, np.array([1.0, 1.0, 1.0]))
     with pytest.raises(ValidationError):
         BiphotonPure(g, g, np.ones((3, 3)))
-    gamma = np.diag([0.5, 0.3, 0.2]).astype(complex)
-    gamma[0, 1] = 0.1  # not mirrored: non-Hermitian
-    with pytest.raises(ValidationError):
-        SinglePhotonMixed(g, gamma)
-    # Hermitian, unit trace, but indefinite
-    bad = np.diag([0.6, 0.6, -0.2]).astype(complex)
-    with pytest.raises(ValidationError):
-        SinglePhotonMixed(g, bad)
 
 
 def _with_nan(values, fill):
@@ -249,7 +239,6 @@ def _with_nan(values, fill):
 
 _NAN_CONSTRUCTORS = {
     "SinglePhotonPure": lambda g, f: SinglePhotonPure(g, _with_nan(np.full(4, 0.5**0.5 + 0j), f)),
-    "SinglePhotonMixed": lambda g, f: SinglePhotonMixed(g, _with_nan(np.eye(4) / 2 + 0j, f)),
     "BiphotonPure": lambda g, f: BiphotonPure(g, g, _with_nan(np.eye(4) + 0j, f)),
     "BiphotonMixture": lambda g, f: BiphotonMixture(tuple(
         zip(_with_nan([1.0, 0.0], f), [BiphotonPure(g, g, np.eye(4) + 0j)] * 2))),
