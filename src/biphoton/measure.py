@@ -25,6 +25,12 @@ amplitude. A state built from a matrix is never inspected for structure.
 A classically correlated source is an incoherent batch of such pairs, one
 at each x_i with weight gamma_i dx: its joint is
 |H1|^2 diag(gamma dx^3) (|H2|^2)^T and its singles |H|^2 gamma dx^2.
+Behind a DFT-factored arm |H|^2 is the rank-one |post|^2 outer |pre|^2
+(``Kernel.abs2_factors``), so a product |H|^2 w (the singles of a
+correlated source or a co-located pair) costs O(n), and the correlated
+joint between two such arms is the outer product
+(|post1|^2 s) outer |post2|^2, s = sum |pre1|^2 gamma dx^3 |pre2|^2, O(n^2)
+where the matrix product costs O(n^3).
 
 ``biphoton_joint`` and ``biphoton_singles`` measure every pair state: a
 ``BiphotonPure``, a ``CorrelatedPairSource`` or a ``BiphotonMixture``.
@@ -164,10 +170,30 @@ def _joint_raw(s: BiphotonPure | CorrelatedPairSource, k1: Kernel, k2: Kernel) -
         raise ValidationError("joint: source grids must match kernel input grids")
     if isinstance(s, CorrelatedPairSource):
         # the pair at x_i is d = e_i / dx with weight gamma_i dx
-        return (k1.abs2() * (s.gamma * s.grid.dx**3)) @ k2.abs2().T
-    h1a = k1.dot(s.amp) if s.diagonal is None else k1.dot_diag(s.diagonal)
-    a = k2.dot_t(h1a) * (s.grid1.dx * s.grid2.dx)
-    return np.abs(a) ** 2
+        w = s.gamma * s.grid.dx**3
+        f1, f2 = k1.abs2_factors, k2.abs2_factors
+        if f1 is None or f2 is None:
+            return (k1.abs2() * w) @ k2.abs2().T
+        return np.outer(f1[0] * ((f1[1] * w) @ f2[1]), f2[0])
+    # H1 A H2^T is written over H1 A when arm 2 is square: one complex
+    # n x n array per pair state, so a mixture's components do not churn
+    # fresh FFT temporaries through the allocator.
+    a = k1.dot(s.amp) if s.diagonal is None else k1.dot_diag(s.diagonal)
+    a = k2.dot_t(a, out=a if k2.grid_out.n == k2.grid_in.n else None)
+    a *= s.grid1.dx * s.grid2.dx
+    vals = np.abs(a)
+    del a
+    vals **= 2
+    return vals
+
+
+def _abs2_dot(k: Kernel, w: np.ndarray) -> np.ndarray:
+    """|H|^2 @ w, in O(n) when |H|^2 is rank one."""
+    f = k.abs2_factors
+    if f is None:
+        return k.abs2() @ w
+    post, pre = f
+    return post * (pre @ w)
 
 
 def _components(s: PairState) -> tuple:
@@ -178,7 +204,12 @@ def biphoton_joint(s: PairState, k1: Kernel, k2: Kernel) -> Density2D:
     """Coincidence density p(x1, x2) ~ |sum phi(x, x') h1(x1, x) h2(x2, x')|^2
     for a pure pair; intensities add per emission point for a correlated
     source, and per component for a mixture."""
-    vals = sum(w * _joint_raw(c, k1, k2) for w, c in _components(s))
+    vals = None
+    for w, c in _components(s):
+        raw = _joint_raw(c, k1, k2)
+        raw *= w
+        vals = raw if vals is None else np.add(vals, raw, out=vals)
+        del raw  # free it before the next component's arrays
     return _norm_2d(vals, k1.grid_out, k2.grid_out, "joint density")
 
 
@@ -197,13 +228,13 @@ def _singles_raw(s: BiphotonPure | CorrelatedPairSource, k: Kernel, arm: int) ->
     if grid_in != k.grid_in:
         raise ValidationError("singles: source grid must match kernel input grid")
     if isinstance(s, CorrelatedPairSource):
-        return k.abs2() @ (s.gamma * s.grid.dx**2)
+        return _abs2_dot(k, s.gamma * s.grid.dx**2)
     d = s.diagonal
     if d is None:
         t = k.dot(s.amp if arm == 1 else s.amp.T)
         vals = (t.real**2 + t.imag**2).sum(axis=1)
     else:
-        vals = k.abs2() @ (d.real**2 + d.imag**2)
+        vals = _abs2_dot(k, d.real**2 + d.imag**2)
     return _clip_nonnegative(vals * (dx_other * grid_in.dx**2), "singles density")
 
 

@@ -31,9 +31,13 @@ H = diag(post) F diag(pre) and builds no matrix for them:
 
 ``Kernel.dot`` (H M), ``Kernel.dot_diag`` (H diag(d)), ``Kernel.dot_t``
 (M H^T) and ``Kernel.abs2`` (|H|^2) then cost O(n^2 log n) by FFT (O(n^2)
-for F = I) instead of O(n^3). Every other chain is dense. ``Kernel.matrix``
-of a factored kernel is built on first access by the dense composition, so
-code that reads it sees the same numbers either way.
+for F = I) instead of O(n^3). The FFT routes scale and transform one
+array in place, so each allocates only its result. Every other chain is
+dense. When F is the DFT, |F| is all ones and |H|^2 is the rank-one
+|post|^2 outer |pre|^2: ``Kernel.abs2_factors`` gives the two vectors, so
+|H|^2 w costs O(n). ``Kernel.matrix`` of a factored kernel is built on
+first access by the dense composition, so code that reads it sees the same
+numbers either way.
 
 Matched-sampling bound. With delta = wavelength f / (n dx^2) - 1, replacing
 u_j u_k dx^2 / (wavelength f) by u_j u_k / n puts a phase error of
@@ -60,9 +64,9 @@ from .grid import Grid
 MATCHED_PHASE_TOL = 1e-11  # rad; see the module docstring
 
 
-def _rows(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Scale the rows (first axis) of m by v."""
-    return v[:, None] * m if m.ndim == 2 else v * m
+def _rows(v: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Scale the rows (first axis) of m by v, into ``out`` when given."""
+    return np.multiply(v[:, None] if m.ndim == 2 else v, m, out=out)
 
 
 def _checked_matrix(matrix, grid_in: Grid, grid_out: Grid) -> np.ndarray:
@@ -117,7 +121,9 @@ class Kernel:
             return self.matrix @ m
         if self._pre is None:  # F = I
             return _rows(self._post, m)
-        return _rows(self._post, np.fft.fft(_rows(self._pre, m), axis=0))
+        out = _rows(self._pre, m)
+        np.fft.fft(out, axis=0, out=out)
+        return _rows(self._post, out, out=out)
 
     def dot_diag(self, d: np.ndarray) -> np.ndarray:
         """H @ diag(d) for a vector d on the input grid, with no n x n
@@ -127,19 +133,33 @@ class Kernel:
             return self.matrix * d[None, :]
         if self._pre is None:  # F = I
             return np.diag(self._post * d)
-        return _rows(self._post, np.fft.fft(np.diag(self._pre * d), axis=0))
+        out = np.diag(self._pre * d)
+        np.fft.fft(out, axis=0, out=out)
+        return _rows(self._post, out, out=out)
 
-    def dot_t(self, m: np.ndarray) -> np.ndarray:
-        """m @ H.T for a matrix m on the input grid (last axis)."""
+    def dot_t(self, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """m @ H.T for a matrix m on the input grid (last axis), written
+        into ``out`` when given; ``out`` may be m itself."""
         if self._post is None:
-            return m @ self.matrix.T
+            return np.matmul(m, self.matrix.T, out=out)
         if self._pre is None:  # F = I
-            return m * self._post
-        return np.fft.fft(m * self._pre, axis=-1) * self._post
+            return np.multiply(m, self._post, out=out)
+        out = np.multiply(m, self._pre, out=out)
+        np.fft.fft(out, axis=-1, out=out)
+        return np.multiply(out, self._post, out=out)
+
+    @property
+    def abs2_factors(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(|post|^2, |pre|^2) when F is the DFT, so that |H|^2 is their
+        outer product; None for a dense kernel or F = I."""
+        if self._pre is None:
+            return None
+        return np.abs(self._post) ** 2, np.abs(self._pre) ** 2
 
     def abs2(self) -> np.ndarray:
         """|H|^2 entrywise, cached read-only: re^2 + im^2 of a dense matrix,
-        |post|^2 outer |pre|^2 when factored (diag |post|^2 when F = I)."""
+        the outer product of ``abs2_factors`` when F is the DFT, diag
+        |post|^2 when F = I."""
         if self._abs2 is None:
             if self._post is None:
                 m = self.matrix
@@ -147,7 +167,7 @@ class Kernel:
             elif self._pre is None:
                 self._abs2 = np.diag(np.abs(self._post) ** 2)
             else:
-                self._abs2 = np.outer(np.abs(self._post) ** 2, np.abs(self._pre) ** 2)
+                self._abs2 = np.outer(*self.abs2_factors)
             self._abs2.flags.writeable = False
         return self._abs2
 

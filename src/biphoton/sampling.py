@@ -12,6 +12,10 @@ in chunks of ``_CHUNK`` and searches them once per cell, accumulating
 below[k] = #(u < cdf[k]); the counts are below[k] - below[k-1]. They equal
 per-draw inverse-CDF counts exactly (chunked PCG64 draws are the unchunked
 stream), and memory is bounded by the chunk and the cell count for any n.
+
+Only cells of nonzero probability are searched. A zero cell adds an exact
+0 to the running sum, so the CDF entries of the other cells, and every
+count, are bit for bit those of the full CDF, and a zero cell's count is 0.
 """
 
 from __future__ import annotations
@@ -50,12 +54,11 @@ def sample_joint(p: Density2D, n: int, seed: int) -> CoincidenceCounts:
     p(x1, x2) dx1 dx2."""
     if n < 1:
         raise ValidationError(f"sample count must be >= 1, got {n!r}")
-    probs = (p.values * (p.grid1.dx * p.grid2.dx)).ravel()
-    total = probs.sum()
-    if not total > 0:
+    # The mask is formed again for the scatter, not kept: with no zero
+    # cell it would add a byte per cell to the peak of the search loop.
+    cdf = np.cumsum(p.values[p.values > 0] * (p.grid1.dx * p.grid2.dx))
+    if not (cdf.size and cdf[-1] > 0):
         raise PhysicsError("degenerate all-zero density, nothing to sample")
-    cdf = np.cumsum(probs)
-    del probs
     cdf /= cdf[-1]
     rng = np.random.Generator(np.random.PCG64(seed))
     below = np.zeros(cdf.size, dtype=np.int64)
@@ -66,7 +69,10 @@ def sample_joint(p: Density2D, n: int, seed: int) -> CoincidenceCounts:
         del u
     del cdf
     below[1:] -= below[:-1]  # overlapping operands: numpy buffers the input
-    return CoincidenceCounts(p.grid1, p.grid2, below.reshape(p.values.shape), n)
+    counts = np.zeros(p.values.shape, dtype=np.int64)
+    counts[p.values > 0] = below
+    del below
+    return CoincidenceCounts(p.grid1, p.grid2, counts, n)
 
 
 def empirical_densities(c: CoincidenceCounts) -> tuple[Density2D, Density1D, Density1D]:

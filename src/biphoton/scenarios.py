@@ -48,6 +48,8 @@ from .schema import (
 )
 
 _NEEDS_JOINT = {"joint", "marginal_1", "marginal_2", "sample"}
+# Compute stages timed by ``run_scenario``, each summed over the variants.
+_STAGES = ("arms", "source", "joint", "singles", "schmidt", "sample", "metrics")
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +136,7 @@ def _build_source(cfg: SourceCfg, grid: Grid):
 class VariantResults:
     label: str
     items: dict[str, object] = field(default_factory=dict)  # kind -> result object
+    timings: dict[str, float] = field(default_factory=dict)  # stage -> seconds
 
 
 @dataclass
@@ -204,6 +207,16 @@ def _build_arms(s: Scenario, variants: tuple[VariantCfg, ...]
 
 def _compute_variant(s: Scenario, v: VariantCfg, k1: Kernel, k2: Kernel | None,
                      seed_override: int | None) -> VariantResults:
+    res = VariantResults(v.label)
+    timings = res.timings
+
+    def timed(stage: str, kind: str, fn):
+        t = time.perf_counter()
+        out = _with_context(kind, v.label, fn)
+        timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - t
+        return out
+
+    t = time.perf_counter()
     try:
         src = _build_source(s.resolve(v)[0], s.grid)
     except ValidationError as e:
@@ -211,37 +224,37 @@ def _compute_variant(s: Scenario, v: VariantCfg, k1: Kernel, k2: Kernel | None,
         # Gaussian that underflows to zero on the grid): name the field.
         where = "source" if v.source is None else f"variants[{s.variants.index(v)}].source"
         raise ValidationError(str(e), field=where) from e
+    timings["source"] = time.perf_counter() - t
     kinds = [m.kind for m in s.measurements]
-    res = VariantResults(v.label)
 
     joint = None
     if isinstance(src, sources.SinglePhotonPure):
         if "singles_1" in kinds:
-            res.items["singles_1"] = _with_context(
-                "singles_1", v.label, lambda: measure.single_coherent(src, k1))
+            res.items["singles_1"] = timed(
+                "singles", "singles_1", lambda: measure.single_coherent(src, k1))
     else:
         if any(k in kinds for k in _NEEDS_JOINT):
-            joint = _with_context(
-                "joint", v.label, lambda: measure.biphoton_joint(src, k1, k2))
+            joint = timed("joint", "joint", lambda: measure.biphoton_joint(src, k1, k2))
         for arm, k in ((1, k1), (2, k2)):
             if f"singles_{arm}" in kinds:
-                res.items[f"singles_{arm}"] = _with_context(
-                    f"singles_{arm}", v.label,
+                res.items[f"singles_{arm}"] = timed(
+                    "singles", f"singles_{arm}",
                     lambda arm=arm, k=k: measure.biphoton_singles(src, k, arm))
             if f"marginal_{arm}" in kinds:
                 res.items[f"marginal_{arm}"] = _with_context(
                     f"marginal_{arm}", v.label,
                     lambda arm=arm: measure.marginal_from_joint(joint, arm))
         if "schmidt" in kinds:
-            res.items["schmidt"] = sources.schmidt_spectrum(src)
+            res.items["schmidt"] = timed(
+                "schmidt", "schmidt", lambda: sources.schmidt_spectrum(src))
 
     if "joint" in kinds and joint is not None:
         res.items["joint"] = joint
     for i, m in enumerate(s.measurements):
         if m.kind == "sample":
             seed = m.seed if seed_override is None else _stable_seed(seed_override, v.label, i)
-            res.items["sample"] = _with_context(
-                "sample", v.label, lambda: sampling.sample_joint(joint, m.n, seed))
+            res.items["sample"] = timed(
+                "sample", "sample", lambda: sampling.sample_joint(joint, m.n, seed))
     return res
 
 
@@ -252,13 +265,22 @@ def run_scenario(
     seed: int | None = None,
 ) -> RunSummary:
     """Execute all measurements of a scenario, write requested outputs and
-    return the summary. Deterministic for a fixed scenario document."""
+    return the summary. Deterministic for a fixed scenario document.
+
+    ``RunSummary.timings`` holds the seconds spent in each of ``_STAGES``,
+    summed over the variants, and the totals ``compute`` and ``write``."""
     t0 = time.perf_counter()
+    timings = dict.fromkeys(_STAGES, 0.0)
     variants = s.effective_variants()
     arms = _build_arms(s, variants)
+    timings["arms"] = time.perf_counter() - t0
     results = [_compute_variant(s, v, *k, seed) for v, k in zip(variants, arms)]
     del arms
+    for r in results:
+        for stage, seconds in r.timings.items():
+            timings[stage] += seconds
 
+    t = time.perf_counter()
     metrics: dict[str, float] = {}
     for r in results:
         for m in s.measurements:
@@ -281,6 +303,7 @@ def run_scenario(
                 pm = r.items[mk].values
                 gap = float(np.max(np.abs(pm - ps)) / ps.max())
                 metrics[_metric_key(f"marginal_singles_gap_arm{arm}", None, r.label)] = gap
+    timings["metrics"] = time.perf_counter() - t
 
     directory = out_dir if out_dir is not None else (
         s.outputs.directory if s.outputs else None)
@@ -291,7 +314,7 @@ def run_scenario(
     if directory is not None:
         summary.files = write_outputs(results, directory, fmts, summary=summary)
         summary.duration_s = time.perf_counter() - t0
-    summary.timings = {"compute": t1 - t0, "write": summary.duration_s - (t1 - t0)}
+    summary.timings = {**timings, "compute": t1 - t0, "write": summary.duration_s - (t1 - t0)}
     return summary
 
 

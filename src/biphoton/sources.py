@@ -55,13 +55,15 @@ class BiphotonPure:
     at grid2.point(j). A state built by ``colocated`` keeps only its
     diagonal d, amp = diag(d), as ``diagonal`` and forms ``amp`` each time
     it is read, without keeping it; a state built from a matrix has
-    ``diagonal`` None and its matrix is never inspected for structure.
+    ``diagonal`` None and its matrix is never inspected for structure. A
+    real matrix (an SPDC amplitude from a real pump) is kept as float64,
+    a complex one as complex128.
     """
 
     __slots__ = ("grid1", "grid2", "diagonal", "_amp")
 
     def __init__(self, grid1: Grid, grid2: Grid, amp):
-        a = np.asarray(amp, dtype=complex)
+        a = _as_float_or_complex(amp)
         if a.shape != (grid1.n, grid2.n):
             raise ValidationError(
                 f"joint amplitude shape {a.shape} does not match grids "
@@ -87,11 +89,15 @@ class BiphotonPure:
 
     @classmethod
     def normalized(cls, grid1: Grid, grid2: Grid, amp) -> "BiphotonPure":
-        a = np.asarray(amp, dtype=complex)
+        a = _as_float_or_complex(amp)
         norm = np.sqrt(np.sum(np.abs(a) ** 2) * grid1.dx * grid2.dx)
         if norm == 0:
             raise ValidationError("cannot normalize an all-zero joint amplitude")
         return cls(grid1, grid2, a / norm)
+
+
+def _as_float_or_complex(values) -> np.ndarray:
+    return np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
 
 
 def _check_pair_norm(norm) -> None:
@@ -213,8 +219,8 @@ def spdc_amplitude(params: SpdcParams, grid: Grid) -> BiphotonPure:
     where q is one correlation of the pump with a Gaussian on the half-step
     lattice. Both vectors have length 2n - 1, so the build is O(n^2) and
     nothing n x n is exponentiated. The same product is stored at [i, j]
-    and [j, i]: the result is exactly symmetric, and exactly Hermitian for a
-    real pump. A pump without imaginary part is computed in float64. When
+    and [j, i]: the result is exactly symmetric. A pump without imaginary
+    part is computed in float64 and gives a float64 amplitude. When
     every off-centre e[d] underflows to 0 (b << dx) the state is co-located
     and comes back from ``BiphotonPure.colocated`` with d[i] = q[2i].
     """
@@ -252,21 +258,21 @@ def schmidt_spectrum(s: BiphotonPure) -> SchmidtSpectrum:
     A co-located state (``diagonal`` set: an entangled delta, real or complex
     phi, a localized component, an underflowed SPDC state) has them as
     |d| sqrt(dx1*dx2), sorted, with no decomposition and no n x n matrix.
-    Otherwise, when a is square and exactly equal to its conjugate
-    transpose (an SPDC state from a real pump), they are the absolute
-    eigenvalues from eigvalsh, computed in float64 when a has no imaginary
-    part. Equality is tested exactly, not to a tolerance, so a state
-    Hermitian only up to round-off, a complex-phase pump (complex symmetric)
-    and any other amplitude take the general SVD.
+    Otherwise, when a is square and Hermitian (a real symmetric amplitude,
+    such as an SPDC state from a real pump, or a complex one equal to its
+    conjugate transpose), they are the absolute eigenvalues from eigvalsh,
+    in float64 for a real amplitude. Equality is tested exactly, not to a
+    tolerance, so a state Hermitian only up to round-off, a complex-phase
+    pump (complex symmetric) and any other amplitude take the general SVD.
     """
     scale = np.sqrt(s.grid1.dx * s.grid2.dx)
     if s.diagonal is not None:
         sigma = np.sort(np.abs(s.diagonal) * scale)[::-1]
     else:
         a = s.amp * scale
-        if a.shape[0] == a.shape[1] and np.array_equal(a, a.conj().T):
-            w = np.linalg.eigvalsh(a.real if not np.any(a.imag) else a)
-            sigma = np.sort(np.abs(w))[::-1]
+        adjoint = a.T if np.isrealobj(a) else a.conj().T
+        if a.shape[0] == a.shape[1] and np.array_equal(a, adjoint):
+            sigma = np.sort(np.abs(np.linalg.eigvalsh(a)))[::-1]
         else:
             sigma = np.linalg.svd(a, compute_uv=False)
     p = sigma**2

@@ -126,3 +126,33 @@ def test_sample_joint_matches_per_draw_reference(monkeypatch, chunk, shape, dx1,
             c = sample_joint(p, n, seed)
             assert np.array_equal(c.counts, _per_draw_counts(p, n, seed))
             assert c.counts[v == 0].sum() == 0
+
+
+def _joint_with(shape, zeros: str) -> np.ndarray:
+    v = np.random.default_rng(SEED + 1).uniform(0.1, 1.0, shape)
+    if zeros == "first-and-last-cells":
+        v[0, 0] = v[-1, -1] = 0.0
+    elif zeros == "rows-and-columns":
+        v[[0, 3, -1], :] = 0.0
+        v[:, [1, 2, -1]] = 0.0
+    elif zeros == "single-cell":
+        v[:] = 0.0
+        v[shape[0] // 2, shape[1] // 3] = 0.7
+    return v
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("zeros", ["first-and-last-cells", "rows-and-columns",
+                                   "single-cell", "none"])
+def test_sample_joint_zero_patterns_match_per_draw_reference(monkeypatch, chunk, zeros):
+    if chunk is not None:
+        monkeypatch.setattr(sampling, "_CHUNK", chunk)
+    dx1, dx2 = 0.3, 0.7
+    v = _joint_with((9, 11), zeros)
+    v /= v.sum() * dx1 * dx2
+    p = Density2D(make_grid(9, dx1), make_grid(11, dx2), v)
+    for seed in (0, SEED):
+        for n in (1, 50, 5003):
+            c = sample_joint(p, n, seed)
+            assert np.array_equal(c.counts, _per_draw_counts(p, n, seed))
+            assert c.counts[v == 0].sum() == 0

@@ -191,3 +191,32 @@ def test_schmidt_of_colocated_amplitude_takes_no_decomposition(name, monkeypatch
     assert np.max(np.abs(sp.singular_values - sigma)) <= 1e-12 * sigma[0]
     assert sp.participation == pytest.approx(k, rel=1e-12)
     assert sp.entropy == pytest.approx(entropy, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("n,dx,center", GRIDS)
+def test_real_pump_gives_float64_amplitude(n, dx, center, monkeypatch):
+    g = make_grid(n, dx, center)
+    s = spdc_amplitude(SpdcParams(_pump(g, False), 2 * dx), g)
+    assert s.diagonal is None and s.amp.dtype == np.float64
+    as_complex = BiphotonPure(g, g, s.amp.astype(complex))
+    assert as_complex.amp.dtype == np.complex128
+    want = schmidt_spectrum(as_complex)
+    calls = _count_svd(monkeypatch)
+    got = schmidt_spectrum(s)
+    assert not calls
+    assert np.max(np.abs(got.singular_values - want.singular_values)) \
+        <= 1e-12 * want.singular_values[0]
+    assert got.participation == pytest.approx(want.participation, rel=1e-12)
+    assert got.entropy == pytest.approx(want.entropy, rel=1e-12, abs=1e-14)
+
+
+def test_complex_phase_pump_stays_complex_and_takes_svd(monkeypatch):
+    g = make_grid(40, 7e-6, 3.7e-5)
+    s = spdc_amplitude(SpdcParams(_pump(g, True), 2 * g.dx), g)
+    assert s.amp.dtype == np.complex128
+    sigma, _, k = svd_schmidt(s)
+    calls = _count_svd(monkeypatch)
+    sp = schmidt_spectrum(s)
+    assert calls
+    assert np.max(np.abs(sp.singular_values - sigma)) <= 1e-12 * sigma[0]
+    assert sp.participation == pytest.approx(k, rel=1e-12)
